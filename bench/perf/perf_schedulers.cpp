@@ -130,9 +130,9 @@ void BM_Mh_Apn(benchmark::State& state) {
 }
 BENCHMARK(BM_Mh_Apn)->Arg(100)->Arg(300);
 
-// BSA on the incremental migration engine: every tentative migration
-// releases and recommits only the affected downstream region of the
-// commit order (apn_common.h ApnMigrationEngine).
+// BSA: every tentative migration rebuilds the whole schedule from the
+// updated assignment (apn_build_with_assignment), so one run costs
+// O(migrations x full build). Gated against absolute baselines.
 void BM_Bsa_Apn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
   const RoutingTable routes{Topology::hypercube(3)};
@@ -142,19 +142,6 @@ void BM_Bsa_Apn(benchmark::State& state) {
     benchmark::DoNotOptimize(BsaScheduler().run(g, routes, ws).makespan());
 }
 BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
-
-// The retired O(full-rebuild) BSA (tests/reference_schedulers.h): one
-// apn_build_with_assignment from scratch per tentative migration. Run at
-// the same sizes as BM_Bsa_Apn so the in-run ratio at v=500 (the
-// migration engine's reason to exist) is asserted by the CI perf gate.
-void BM_Bsa_FullRebuild(benchmark::State& state) {
-  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
-  const RoutingTable routes{Topology::hypercube(3)};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        reference::full_rebuild_bsa(g, routes).makespan());
-}
-BENCHMARK(BM_Bsa_FullRebuild)->Arg(100)->Arg(300)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 

@@ -10,13 +10,14 @@
 // strength on large graphs to "an efficient scheduling of communication
 // messages", which the explicit link re-routing reproduces.
 //
-// Implementation note: every tentative migration runs on the incremental
-// ApnMigrationEngine (apn_common.h): only the affected downstream region
-// of the fixed b-level commit order is released and recommitted, with a
-// snapshot/rollback path for rejected migrations. The result is defined
-// to be byte-identical to deterministically rebuilding the whole schedule
-// from the assignment (the historical implementation, kept as the
-// property-test reference in tests/reference_schedulers.h).
+// Implementation note: every tentative migration rebuilds the whole
+// NetSchedule from the updated assignment (apn_build_with_assignment) and
+// keeps it when the makespan does not grow. docs/perf.md records why no
+// incremental in-place scheme is kept: on BSA's packed serial-injection
+// schedules a migration changes most of the schedule, and the retired
+// migration engine ran at 0.38x the speed of this loop. The loop is
+// pinned by a frozen copy, reference::full_rebuild_bsa in
+// tests/reference_schedulers.h.
 #pragma once
 
 #include "tgs/apn/apn_common.h"

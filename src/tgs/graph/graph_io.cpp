@@ -1,5 +1,6 @@
 #include "tgs/graph/graph_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -83,6 +84,24 @@ struct LineScanner {
   }
 };
 
+/// Upper bound on the records left in `is`: every node or edge record is
+/// at least 8 bytes ("node 0 1"). Header counts are untrusted -- reserving
+/// straight from them lets a 20-byte header demand gigabytes -- so
+/// read_graph reserves no more than the input can hold. A stream that
+/// cannot seek (a pipe) reports 0: its vectors grow as records arrive.
+std::size_t max_records_left(std::istream& is) {
+  constexpr std::size_t kMinRecordBytes = 8;
+  if (!is.good()) return 0;  // at EOF: tellg would set failbit
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();  // a failed seek to the end must not end the parse
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1)) return 0;
+  return static_cast<std::size_t>(end - here) / kMinRecordBytes;
+}
+
 }  // namespace
 
 TaskGraph read_graph(std::istream& is) {
@@ -110,7 +129,10 @@ TaskGraph read_graph(std::istream& is) {
   if (magic != "tgs1") throw std::invalid_argument("missing tgs1 header");
 
   TaskGraphBuilder b(name);
-  b.reserve(n, m);
+  const std::size_t max_records = max_records_left(is);
+  const std::size_t node_cap =
+      std::min(static_cast<std::size_t>(n), max_records);
+  b.reserve(node_cap, std::min(m, max_records - node_cap));
   NodeId nodes_seen = 0;
   std::size_t edges_seen = 0;
   while (std::getline(is, line)) {

@@ -15,10 +15,6 @@
 //  * ApnSweepScratch -- the per-processor buffers of the one-to-all APN
 //    probes (apn/apn_common.h), so the per-step sweeps of MH / DLS(APN) /
 //    BSA allocate nothing in steady state.
-//  * ApnMigrationScratch -- the affected-set flags and snapshot pools of
-//    the incremental migration engine (apn/apn_common.h) that BSA's
-//    tentative release/recommit steps run on. Stored behind a pointer so
-//    sched/ does not include net/ or apn/ headers.
 //
 // Results never depend on workspace contents -- it only recycles capacity
 // -- so sharing one workspace across algorithms or reusing it across
@@ -38,7 +34,6 @@
 namespace tgs {
 
 struct PairScratch;          // bnp/bnp_common.h
-struct ApnMigrationScratch;  // apn/apn_common.h
 struct ParamScratch;         // param/param_scheduler.h
 
 /// Thrown out of a scheduler run when the workspace's armed deadline
@@ -126,10 +121,6 @@ class SchedWorkspace {
   /// One-to-all APN probe buffers (sized by callers per topology).
   ApnSweepScratch& apn_scratch() { return apn_; }
 
-  /// Incremental-migration scratch (affected-set flags, snapshot pools)
-  /// of ApnMigrationEngine; sized by the engine per (graph, topology).
-  ApnMigrationScratch& migration_scratch() { return *migration_; }
-
   /// Per-run buffers of the parameterized scheduler core (priority keys,
   /// static ranks, arrival times, cluster assignment); sized by
   /// ParamScheduler per run.
@@ -146,7 +137,6 @@ class SchedWorkspace {
   GraphAttributeCache attrs_;
   std::unique_ptr<PairScratch> pair_;
   ApnSweepScratch apn_;
-  std::unique_ptr<ApnMigrationScratch> migration_;
   std::unique_ptr<ParamScratch> param_;
 };
 

@@ -137,25 +137,15 @@ inline NetSchedule naive_dls_apn(const TaskGraph& g,
   return ns;
 }
 
-/// One BSA migration decision: task `node` tried to bubble from `from`
-/// to `to`; `accepted` is the makespan verdict (<= before, ties accepted).
-struct BsaDecision {
-  NodeId node;
-  int from;
-  int to;
-  bool accepted;
-};
-
-/// BSA exactly as shipped before the incremental migration engine: every
-/// tentative migration rebuilds the entire NetSchedule from the updated
-/// assignment via apn_build_with_assignment. Ground truth for the
-/// BsaIncremental.* property tests -- the engine-based BsaScheduler must
-/// reproduce these schedules (and decisions) byte-for-byte, including the
-/// rolled-back state after every rejected migration.
+/// BSA frozen as a rebuild-per-migration loop: every tentative migration
+/// rebuilds the entire NetSchedule from the updated assignment via
+/// apn_build_with_assignment. BsaScheduler (apn/bsa.cpp) runs this same
+/// loop today; this copy is the fixed point that future edits to bsa.cpp
+/// are checked against (Bsa.MatchesFrozenRebuildReference), the way
+/// tests/reference_named.h freezes the named list schedulers. Do not edit
+/// it along with bsa.cpp -- a change here is a change of BSA's schedules.
 inline NetSchedule full_rebuild_bsa(const TaskGraph& g,
-                                    const RoutingTable& routes,
-                                    std::vector<BsaDecision>* decisions =
-                                        nullptr) {
+                                    const RoutingTable& routes) {
   const Topology& topo = routes.topology();
   const int pivot0 = topo.max_degree_proc();
 
@@ -209,9 +199,7 @@ inline NetSchedule full_rebuild_bsa(const TaskGraph& g,
       assign[n] = static_cast<ProcId>(best_p);
       NetSchedule rebuilt =
           apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-      const bool accepted = rebuilt.makespan() <= before;
-      if (decisions) decisions->push_back({n, pivot, best_p, accepted});
-      if (accepted) {
+      if (rebuilt.makespan() <= before) {
         ns = std::move(rebuilt);
       } else {
         assign[n] = static_cast<ProcId>(pivot);

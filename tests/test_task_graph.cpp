@@ -2,12 +2,17 @@
 // topological order, serialization round-trip, DOT export.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
 #include "tgs/gen/psg.h"
 #include "tgs/graph/dot.h"
 #include "tgs/graph/graph_io.h"
 #include "tgs/graph/task_graph.h"
+#include "tgs/util/mem.h"
 
 namespace tgs {
 namespace {
@@ -158,6 +163,59 @@ TEST(GraphIo, RejectsMalformed) {
                std::invalid_argument);  // non-dense ids
   EXPECT_THROW(graph_from_string("tgs1 g 1 1\nnode 0 5\n"),
                std::invalid_argument);  // truncated (missing edge)
+}
+
+// Header counts are untrusted: the reserve is bounded by the bytes the
+// stream still holds, so a tiny header cannot demand gigabytes.
+TEST(GraphIo, HugeHeaderCountsFailAsTruncated) {
+  EXPECT_THROW(graph_from_string("tgs1 g 2 28000000000\n"),
+               std::invalid_argument);
+  EXPECT_THROW(graph_from_string("tgs1 g 2 28000000000"),
+               std::invalid_argument);
+}
+
+TEST(GraphIo, HugeHeaderCountsReserveNothing) {
+  const AllocMeter meter;
+  EXPECT_THROW(graph_from_string("tgs1 g 2 100000000\n"),
+               std::invalid_argument);
+  EXPECT_LT(meter.bytes(), 1u << 20);
+}
+
+/// A stream buffer over a string that cannot seek, like a pipe.
+class NoSeekBuf : public std::streambuf {
+ public:
+  explicit NoSeekBuf(std::string& s) {
+    setg(s.data(), s.data(), s.data() + s.size());
+  }
+};
+
+std::string chain_text(NodeId nodes) {
+  TaskGraphBuilder b("chain");
+  for (NodeId i = 0; i < nodes; ++i) b.add_node(1 + i % 7);
+  for (NodeId i = 0; i + 1 < nodes; ++i) b.add_edge(i, i + 1, i % 5);
+  return graph_to_string(b.finalize());
+}
+
+// A legitimate graph still reserves its full header counts: parsing does
+// a fixed number of allocations whatever the graph size (no vector growth).
+TEST(GraphIo, LegitimateGraphReservesFullCounts) {
+  std::vector<std::uint64_t> allocs;
+  for (NodeId nodes : {NodeId{50}, NodeId{5000}}) {
+    std::istringstream is(chain_text(nodes));
+    const AllocMeter meter;
+    const TaskGraph g = read_graph(is);
+    allocs.push_back(meter.count());
+    EXPECT_EQ(g.num_nodes(), nodes);
+  }
+  EXPECT_EQ(allocs[0], allocs[1]);
+}
+
+TEST(GraphIo, UnseekableStreamParsesIdentically) {
+  std::string text = chain_text(500);
+  NoSeekBuf buf(text);
+  std::istream pipe(&buf);
+  EXPECT_EQ(graph_to_string(read_graph(pipe)),
+            graph_to_string(graph_from_string(text)));
 }
 
 TEST(GraphIo, CommentsSkipped) {
