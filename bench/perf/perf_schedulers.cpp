@@ -2,7 +2,8 @@
 // behind -DTGS_BUILD_PERF=ON (needs a system libbenchmark).
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
-// kept in tests/reference_schedulers.h, so the incremental-vs-naive
+// kept in tests/reference_schedulers.h (BM_Ez_Original likewise runs the
+// frozen EZ of tests/reference_named.h), so the incremental-vs-naive
 // speedup of one build is measured inside one binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
 // against (tools/check_perf_regression.py, >2x real_time fails).
@@ -14,6 +15,7 @@
 
 #include <vector>
 
+#include "reference_named.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
 #include "tgs/apn/bsa.h"
@@ -33,6 +35,7 @@
 #include "tgs/net/topology.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/unc/ez.h"
 #include "tgs/util/mem.h"
 
 namespace tgs {
@@ -142,6 +145,27 @@ void BM_Bsa_Apn(benchmark::State& state) {
     benchmark::DoNotOptimize(BsaScheduler().run(g, routes, ws).makespan());
 }
 BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
+
+// EZ: one tentative merge per edge (~17k at v=500), each evaluated by an
+// append-only cluster schedule that stops as soon as a static-level bound
+// proves the merge worse. BM_Ez_Original runs the frozen pre-bound loop
+// of tests/reference_named.h (union-find snapshot, re-densify and a full
+// evaluation per edge), so the speedup is measured inside one binary.
+void BM_Ez(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(EzScheduler().run(g, {}, ws).makespan());
+}
+BENCHMARK(BM_Ez)->Arg(100)->Arg(300)->Arg(500);
+
+void BM_Ez_Original(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::original_ez(g).makespan());
+}
+BENCHMARK(BM_Ez_Original)->Arg(500);
 
 // ------------------------------------------------------------ giant tier --
 

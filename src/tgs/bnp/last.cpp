@@ -28,15 +28,18 @@ Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
 
   while (!ready.empty()) {
     // Highest D_NODE = to_scheduled / incident, compared exactly via cross
-    // multiplication; ties -> higher static level, then smaller id.
+    // multiplication in 128 bits (each factor fits int64, the product may
+    // not); ties -> higher static level, then smaller id.
     NodeId best = kNoNode;
     for (NodeId m : ready.ready()) {
       if (best == kNoNode) {
         best = m;
         continue;
       }
-      const Cost lhs = to_scheduled[m] * (incident[best] == 0 ? 1 : incident[best]);
-      const Cost rhs = to_scheduled[best] * (incident[m] == 0 ? 1 : incident[m]);
+      const __int128 lhs = static_cast<__int128>(to_scheduled[m]) *
+                           (incident[best] == 0 ? 1 : incident[best]);
+      const __int128 rhs = static_cast<__int128>(to_scheduled[best]) *
+                           (incident[m] == 0 ? 1 : incident[m]);
       if (lhs > rhs || (lhs == rhs && sl[m] > sl[best])) best = m;
     }
 

@@ -13,6 +13,7 @@
 
 namespace tgs {
 
+class RunDeadline;
 class TaskGraph;
 
 class DisjointSets {
@@ -63,7 +64,10 @@ std::vector<ProcId> densify(const std::vector<NodeId>& labels);
 //                   DSC's interleaved start-time assignment cannot be
 //                   replayed by a generic list phase, so only its cluster
 //                   map is reused (docs/parameterized.md).
-std::vector<ProcId> ez_clusters(const TaskGraph& g);
+// ez_clusters polls `deadline` (if given) once per tentative merge and
+// throws DeadlineExceeded when it has passed.
+std::vector<ProcId> ez_clusters(const TaskGraph& g,
+                                RunDeadline* deadline = nullptr);
 std::vector<ProcId> lc_clusters(const TaskGraph& g);
 std::vector<ProcId> dsc_clusters(const TaskGraph& g);
 

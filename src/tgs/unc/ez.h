@@ -4,7 +4,10 @@
 // descending order of communication cost; zeroing an edge means merging the
 // clusters of its endpoints. A merge is committed iff the makespan of the
 // resulting clustering (evaluated by the deterministic cluster-schedule of
-// cluster_schedule.h) does not increase. Complexity O(e (v + e)).
+// cluster_schedule.h) does not increase. Complexity O(e (v + e)) in the
+// worst case: one evaluation per edge, each stopped early (exactly) once
+// the partial schedule provably exceeds the best makespan so far
+// (unc/ez.cpp).
 //
 // Expressed as the parameter point bl/static/append/ez of the
 // ParamScheduler core: the edge-zeroing pass (ez_clusters, unc/ez.cpp)

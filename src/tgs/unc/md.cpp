@@ -62,15 +62,18 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     for (NodeId u = 0; u < g.num_nodes(); ++u) L = std::max(L, t[u] + b[u]);
 
     // Min relative mobility among ready nodes, compared exactly by
-    // cross-multiplication: (L - s_a)/w_a < (L - s_b)/w_b.
+    // cross-multiplication: (L - s_a)/w_a < (L - s_b)/w_b. Each factor fits
+    // int64, their product may not: multiply in 128 bits.
     NodeId n = kNoNode;
     for (NodeId m : ready.ready()) {
       if (n == kNoNode) {
         n = m;
         continue;
       }
-      const Time slack_m = (L - (t[m] + b[m])) * g.weight(n);
-      const Time slack_n = (L - (t[n] + b[n])) * g.weight(m);
+      const __int128 slack_m =
+          static_cast<__int128>(L - (t[m] + b[m])) * g.weight(n);
+      const __int128 slack_n =
+          static_cast<__int128>(L - (t[n] + b[n])) * g.weight(m);
       if (slack_m < slack_n) n = m;
     }
 

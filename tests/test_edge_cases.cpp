@@ -46,6 +46,15 @@ TaskGraph huge_comm_star() {
   return b.finalize();
 }
 
+/// `g` with every node weight and edge cost multiplied by `k`.
+TaskGraph scaled(const TaskGraph& g, Cost k) {
+  TaskGraphBuilder b("scaled");
+  for (NodeId n = 0; n < g.num_nodes(); ++n) b.add_node(g.weight(n) * k);
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (const Adj& c : g.children(u)) b.add_edge(u, c.node, c.cost * k);
+  return b.finalize();
+}
+
 TEST(EdgeCases, SingleNodeAllAlgorithms) {
   const TaskGraph g = single_node();
   for (const auto& algo : make_unc_and_bnp_schedulers()) {
@@ -183,6 +192,34 @@ TEST(EdgeCases, TwoProcsTightBound) {
   opt.num_procs = 2;
   for (const auto& algo : make_bnp_schedulers())
     EXPECT_EQ(algo->run(g, opt).makespan(), 20) << algo->name();
+}
+
+TEST(EdgeCases, MdAndLastCrossMultiplyWithoutOverflow) {
+  // Weights and costs around 2^33 keep every path sum far inside int64,
+  // but MD's mobility and LAST's D_NODE cross-products reach ~2^71. Both
+  // rules compare ratios, so scaling the graph by k must scale the
+  // schedule by k exactly; a wrapped product breaks that (and trips
+  // UBSan).
+  RgnosParams p;
+  p.num_nodes = 30;
+  p.ccr = 1.0;
+  p.seed = 33;
+  const TaskGraph g = rgnos_graph(p);
+  const Cost k = Cost{1} << 27;
+  const TaskGraph big = scaled(g, k);
+  SchedOptions opt;
+  opt.num_procs = 4;
+  for (const char* name : {"MD", "LAST"}) {
+    const SchedulerPtr algo = make_scheduler(name);
+    const Schedule small_s = algo->run(g, opt);
+    const Schedule big_s = algo->run(big, opt);
+    const auto v = validate_schedule(big_s);
+    ASSERT_TRUE(v.ok) << name << ": " << v.error;
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      ASSERT_EQ(big_s.proc(n), small_s.proc(n)) << name << ", node " << n;
+      ASSERT_EQ(big_s.start(n), small_s.start(n) * k) << name << ", node " << n;
+    }
+  }
 }
 
 }  // namespace

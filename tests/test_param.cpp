@@ -19,6 +19,7 @@
 #include "tgs/param/param_spec.h"
 #include "tgs/sched/validate.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/unc/clustering.h"
 
 namespace tgs {
 namespace {
@@ -171,6 +172,68 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3),
                        ::testing::Values(0.1, 1.0, 10.0),
                        ::testing::Values(0, 2, 4)));
+
+// EZ's edge-zeroing pass (unc/ez.cpp) rejects merges early on a static-level
+// bound; these pin it against the frozen original at paper scale -- CCR 10
+// is where the compute-only bound is weakest -- and on degenerate shapes.
+void expect_ez_matches_original(const TaskGraph& g, const std::string& what) {
+  const Schedule ref = reference::original_ez(g);
+  expect_same_schedule(make_scheduler("EZ")->run(g, {}), ref, what + " EZ");
+  expect_same_schedule(make_scheduler("param:bl/static/append/ez")->run(g, {}),
+                       ref, what + " param");
+}
+
+class EzPaperScale : public ::testing::TestWithParam<double> {};
+
+TEST_P(EzPaperScale, MatchesOriginalAtThreeHundredNodes) {
+  RgnosParams p;
+  p.num_nodes = 300;
+  p.ccr = GetParam();
+  p.parallelism = 3;
+  p.seed = 1998 + 300;
+  expect_ez_matches_original(rgnos_graph(p), "v=300");
+}
+
+INSTANTIATE_TEST_SUITE_P(Ccr, EzPaperScale, ::testing::Values(0.1, 1.0, 10.0));
+
+TaskGraph build_graph(const std::vector<Cost>& weights,
+                      const std::vector<std::tuple<NodeId, NodeId, Cost>>& edges) {
+  TaskGraphBuilder b;
+  for (const Cost w : weights) b.add_node(w);
+  for (const auto& [u, v, c] : edges) b.add_edge(u, v, c);
+  return b.finalize();
+}
+
+TEST(EzEdgeCases, DegenerateGraphsMatchOriginal) {
+  // TaskGraphBuilder rejects zero node weights, so unit weights on
+  // zero-cost edges are the smallest inputs the bound ever sees.
+  expect_ez_matches_original(
+      build_graph({1, 1, 1, 1, 1},
+                  {{0, 1, 0}, {0, 2, 0}, {1, 3, 0}, {2, 3, 0}, {3, 4, 0}}),
+      "unit weights, zero-cost edges");
+  // All edge costs equal: the edge order is the (u, v) tie order alone.
+  expect_ez_matches_original(
+      build_graph({4, 7, 2, 9, 3, 5},
+                  {{0, 2, 6}, {0, 3, 6}, {1, 3, 6}, {1, 4, 6}, {2, 5, 6},
+                   {3, 5, 6}, {4, 5, 6}}),
+      "equal edge costs");
+  expect_ez_matches_original(build_graph({5}, {}), "single node");
+  expect_ez_matches_original(build_graph({3, 8, 2, 6}, {}), "no edges");
+  expect_ez_matches_original(
+      build_graph({3, 9, 4, 1}, {{0, 1, 20}, {1, 2, 5}, {2, 3, 40}}), "chain");
+}
+
+TEST(EzEdgeCases, MergeRejectedAtTheSecondNode) {
+  // Two heavy entries join into one cheap exit. Zeroing 0->2 is free;
+  // zeroing 1->2 would serialize the entries, which the bound sees at
+  // node 1 -- position 1 of the b-level order, the first at which it can
+  // fire (position 0 starts at 0, and sl <= best there).
+  const TaskGraph g = build_graph({10, 10, 1}, {{0, 2, 3}, {1, 2, 3}});
+  expect_ez_matches_original(g, "join");
+  const std::vector<ProcId> assign = ez_clusters(g);
+  EXPECT_EQ(assign[0], assign[2]);
+  EXPECT_NE(assign[0], assign[1]);
+}
 
 // ------------------------------------------------- the full crossproduct ----
 

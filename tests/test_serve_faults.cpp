@@ -33,6 +33,7 @@
 #include "tgs/serve/protocol.h"
 #include "tgs/serve/server.h"
 #include "tgs/serve/socket.h"
+#include "tgs/unc/clustering.h"
 
 namespace tgs {
 namespace {
@@ -339,6 +340,25 @@ TEST(Deadline, ExpiredDeadlineCancelsEveryApnScheduler) {
               schedule_to_string(fresh.tasks()))
         << name;
   }
+}
+
+TEST(Deadline, ExpiredDeadlineCancelsEzClusterPass) {
+  // The edge-zeroing pass runs before any list phase, so it must poll the
+  // deadline itself: a large EZ request would otherwise finish the whole
+  // edge loop before noticing.
+  const TaskGraph g = random_graph(9, 80);
+  const SchedulerPtr algo = make_scheduler("EZ");
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  ws.deadline().arm(std::chrono::steady_clock::now() -
+                    std::chrono::milliseconds(1));
+  EXPECT_THROW(ez_clusters(g, &ws.deadline()), DeadlineExceeded);
+  ws.deadline().disarm();
+
+  ws.begin_graph(g);
+  const Schedule reused = algo->run(g, SchedOptions{}, ws);
+  const Schedule fresh = algo->run(g, SchedOptions{});
+  EXPECT_EQ(schedule_to_string(reused), schedule_to_string(fresh));
 }
 
 TEST(Deadline, UnarmedDeadlineNeverFires) {
