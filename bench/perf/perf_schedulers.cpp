@@ -3,8 +3,10 @@
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
 // kept in tests/reference_schedulers.h (BM_Ez_Original likewise runs the
-// frozen EZ of tests/reference_named.h), so the incremental-vs-naive
-// speedup of one build is measured inside one binary; the committed
+// frozen EZ of tests/reference_named.h, BM_Graph_Parse_Reference the
+// frozen tgs1 reader of tests/reference_graph_io.h), so the
+// incremental-vs-naive speedup of one build is measured inside one
+// binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
 // against (tools/check_perf_regression.py, >2x real_time fails).
 //
@@ -15,6 +17,7 @@
 
 #include <vector>
 
+#include "reference_graph_io.h"
 #include "reference_named.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
@@ -30,6 +33,7 @@
 #include "tgs/gen/structured.h"
 #include "tgs/gen/traced.h"
 #include "tgs/graph/attributes.h"
+#include "tgs/graph/graph_io.h"
 #include "tgs/list/ready_list.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
@@ -378,6 +382,31 @@ void BM_StaticLevels(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StaticLevels)->Arg(500);
+
+// ------------------------------------------------------- request ingress --
+
+// tgs1 text to TaskGraph, as the daemon parses every request's graph.
+// BM_Graph_Parse_Reference runs the frozen getline + strtoll reader and
+// sort-based finalize of tests/reference_graph_io.h on the same text.
+void BM_Graph_Parse(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(graph_from_string(text).num_edges());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_Graph_Parse)->Arg(100)->Arg(500);
+
+void BM_Graph_Parse_Reference(benchmark::State& state) {
+  const std::string text =
+      graph_to_string(bench_graph(static_cast<NodeId>(state.range(0))));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::graph_from_string(text).num_edges);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_Graph_Parse_Reference)->Arg(500);
 
 }  // namespace
 }  // namespace tgs

@@ -10,6 +10,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "tgs/graph/task_graph.h"
 
@@ -19,9 +20,14 @@ namespace tgs {
 void write_graph(std::ostream& os, const TaskGraph& g);
 std::string graph_to_string(const TaskGraph& g);
 
-/// Parse a tgs1 stream; throws std::invalid_argument on malformed input.
+/// Parse tgs1 text in one pass over the bytes; throws
+/// std::invalid_argument on malformed input. Parsing stops after the last
+/// record the header announces: anything after it is not read.
+TaskGraph graph_from_string(std::string_view text);
+
+/// Reads the rest of `is` into one buffer and parses it as
+/// graph_from_string does.
 TaskGraph read_graph(std::istream& is);
-TaskGraph graph_from_string(const std::string& text);
 
 /// File helpers; throw std::runtime_error when the file cannot be opened.
 void save_graph(const std::string& path, const TaskGraph& g);

@@ -67,15 +67,10 @@ TaskGraph TaskGraphBuilder::finalize() {
       if (g.labels_[i].empty()) g.labels_[i] = "n" + std::to_string(i + 1);
   }
 
-  // Detect duplicate edges.
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  for (std::size_t i = 1; i < edges_.size(); ++i)
-    if (edges_[i].u == edges_[i - 1].u && edges_[i].v == edges_[i - 1].v)
-      throw std::invalid_argument("duplicate edge");
-
-  // CSR construction (succ: already sorted by (u, v)).
+  // CSR by counting: bucket the edges by u (insertion order), order each
+  // child list by v, then walk the child lists in u order so every parent
+  // list comes out sorted by u as well.
+  const std::size_t m = edges_.size();
   g.succ_off_.assign(n + 1, 0);
   g.pred_off_.assign(n + 1, 0);
   for (const Edge& e : edges_) {
@@ -86,23 +81,39 @@ TaskGraph TaskGraphBuilder::finalize() {
     g.succ_off_[i + 1] += g.succ_off_[i];
     g.pred_off_[i + 1] += g.pred_off_[i];
   }
-  g.succ_.resize(edges_.size());
-  g.pred_.resize(edges_.size());
-  {
-    std::vector<std::size_t> pos(g.succ_off_.begin(), g.succ_off_.end() - 1);
-    for (const Edge& e : edges_) g.succ_[pos[e.u]++] = {e.v, e.cost};
+  g.succ_.resize(m);
+  g.pred_.resize(m);
+  std::vector<std::size_t> pos(g.succ_off_.begin(), g.succ_off_.end() - 1);
+  for (const Edge& e : edges_) g.succ_[pos[e.u]++] = {e.v, e.cost};
+  const auto by_node = [](const Adj& a, const Adj& b) {
+    return a.node < b.node;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    const auto first = g.succ_.begin() + g.succ_off_[u];
+    const auto last = g.succ_.begin() + g.succ_off_[u + 1];
+    if (!std::is_sorted(first, last, by_node)) std::sort(first, last, by_node);
+    if (std::adjacent_find(first, last, [](const Adj& a, const Adj& b) {
+          return a.node == b.node;
+        }) != last)
+      throw std::invalid_argument("duplicate edge");
   }
-  {
-    // Re-sort by (v, u) for pred CSR.
-    std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-      return a.v != b.v ? a.v < b.v : a.u < b.u;
-    });
-    std::vector<std::size_t> pos(g.pred_off_.begin(), g.pred_off_.end() - 1);
-    for (const Edge& e : edges_) g.pred_[pos[e.v]++] = {e.u, e.cost};
-  }
-  g.num_edges_ = edges_.size();
-  for (Cost w : g.weights_) g.total_weight_ += w;
-  for (const Edge& e : edges_) g.total_edge_cost_ += e.cost;
+  pos.assign(g.pred_off_.begin(), g.pred_off_.end() - 1);
+  for (NodeId u = 0; u < n; ++u)
+    for (const Adj& c : g.children(u)) g.pred_[pos[c.node]++] = {u, c.cost};
+  g.num_edges_ = m;
+
+  // The cost domain (util/types.h): the running sum only grows, so a wrap
+  // or a step past the bound is caught at the addition that makes it.
+  Cost total = 0;
+  const auto add = [&total](Cost& subtotal, Cost x) {
+    if (__builtin_add_overflow(total, x, &total) || total > kMaxGraphCost)
+      throw std::invalid_argument(
+          "graph cost out of domain: total weight + total edge cost "
+          "exceeds 2^48");
+    subtotal += x;
+  };
+  for (Cost w : g.weights_) add(g.total_weight_, w);
+  for (const Adj& c : g.succ_) add(g.total_edge_cost_, c.cost);
 
   // Entries / exits.
   for (NodeId i = 0; i < n; ++i) {

@@ -20,6 +20,16 @@ std::string JsonValue::get_string(const std::string& key,
   return v->as_string();
 }
 
+std::string JsonValue::take_string(const std::string& key,
+                                   const std::string& fallback) {
+  if (type_ != Type::kObject) return fallback;
+  const auto it = obj_.find(key);
+  if (it == obj_.end() || it->second.is_null()) return fallback;
+  if (!it->second.is_string())
+    throw std::invalid_argument("field '" + key + "' must be a string");
+  return std::move(it->second.str_);
+}
+
 double JsonValue::get_number(const std::string& key, double fallback) const {
   const JsonValue* v = find(key);
   if (v == nullptr || v->is_null()) return fallback;
@@ -170,8 +180,12 @@ class JsonParser {
       }
       if (c < 0x20) fail("unescaped control character in string");
       if (c != '\\') {
-        out.push_back(static_cast<char>(c));
-        ++pos_;
+        const std::size_t start = pos_;
+        while (++pos_ < text_.size()) {
+          const unsigned char d = static_cast<unsigned char>(text_[pos_]);
+          if (d == '"' || d == '\\' || d < 0x20) break;
+        }
+        out.append(text_, start, pos_ - start);
         continue;
       }
       ++pos_;  // backslash

@@ -45,6 +45,10 @@ class JsonValue {
   double get_number(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
+  /// get_string that moves the member's text out instead of copying it;
+  /// the member is left an empty string.
+  std::string take_string(const std::string& key, const std::string& fallback);
+
  private:
   friend class JsonParser;
   Type type_ = Type::kNull;

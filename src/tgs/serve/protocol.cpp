@@ -32,7 +32,7 @@ ServeRequest parse_request(const std::string& line) {
   try {
     req.op = doc.get_string("op", "schedule");
     req.id = doc.get_string("id", "");
-    req.graph_text = doc.get_string("graph", "");
+    req.graph_text = doc.take_string("graph", "");
     req.algo = doc.get_string("algo", "");
     req.topology = doc.get_string("topology", "");
     const double procs = doc.get_number("procs", 0);

@@ -44,4 +44,18 @@ static_assert(std::numeric_limits<NodeId>::max() >= 100'000u,
 static_assert(kTimeInf > (std::int64_t{1} << 40),
               "kTimeInf must dominate any real giant-tier makespan");
 
+// The cost domain: a graph's total weight plus total edge cost is at most
+// kMaxGraphCost, enforced by TaskGraphBuilder::finalize. Every time a
+// scheduler forms is a sum along one chain of tasks and messages, so it
+// stays below this total times the route length of a message; 2^48 leaves
+// 2^12 of headroom under kTimeInf (2^60 - 1) for multi-hop routes and for
+// adding two such times. Products of two costs (MD's mobility, LAST's
+// D_NODE) are formed in __int128. The bound admits the giant tier's ~1e10
+// sums and the ~2^33-per-node weights of the scaling tests with room left.
+inline constexpr Cost kMaxGraphCost = Cost{1} << 48;
+static_assert((kMaxGraphCost << 12) - 1 <= kTimeInf,
+              "kMaxGraphCost must leave route-length headroom under kTimeInf");
+static_assert(kMaxGraphCost > Cost{10'000'000'000} * 1000,
+              "kMaxGraphCost must admit giant-tier sums with headroom");
+
 }  // namespace tgs

@@ -498,6 +498,26 @@ TEST(Server, MalformedRequestsGetStructuredErrors) {
   EXPECT_EQ(pong.get_string("status", ""), "ok");
 }
 
+// Weights whose total wraps int64 are outside the cost domain
+// (util/types.h): the daemon answers bad_graph and keeps serving.
+TEST(Server, OutOfDomainCostsAreBadGraphAndTheDaemonStaysUp) {
+  ServerFixture f;
+  UnixConn conn = f.connect();
+  JsonObject o;
+  o.add("graph",
+        "tgs1 g 3 0\nnode 0 4611686018427387904\n"
+        "node 1 4611686018427387904\nnode 2 4611686018427387904\n")
+      .add("algo", "MCP");
+  const JsonValue r = ServerFixture::ask_on(conn, o.str());
+  EXPECT_EQ(r.get_string("status", ""), "error");
+  EXPECT_EQ(r.get_string("code", ""), "bad_graph");
+  EXPECT_NE(r.get_string("message", "").find("domain"), std::string::npos);
+  const JsonValue ok =
+      ServerFixture::ask_on(conn, schedule_request(small_graph(), "MCP"));
+  EXPECT_EQ(ok.get_string("status", ""), "ok");
+  EXPECT_EQ(ok.get_number("makespan", 0), 19.0);
+}
+
 TEST(Server, UnknownAlgoMessageEnumeratesNamesAndParamGrammar) {
   ServerFixture f;
   const JsonValue r = f.ask(schedule_request(small_graph(), "NOPE"));

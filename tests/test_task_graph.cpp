@@ -129,6 +129,62 @@ TEST(TaskGraphBuilder, ZeroCostEdgeAllowed) {
   EXPECT_EQ(g.edge_cost(0, 1), 0);
 }
 
+// The cost domain (util/types.h): total weight + total edge cost must not
+// exceed kMaxGraphCost. Three weights of 2^62 would wrap a 64-bit total.
+TEST(TaskGraphBuilder, RejectsCostTotalsOutsideTheDomain) {
+  TaskGraphBuilder wraps;
+  for (int i = 0; i < 3; ++i) wraps.add_node(Cost{1} << 62);
+  EXPECT_THROW(wraps.finalize(), std::invalid_argument);
+
+  const auto two_nodes = [](Cost w0, Cost cost) {
+    TaskGraphBuilder b;
+    b.add_node(w0);
+    b.add_node(1);
+    b.add_edge(0, 1, cost);
+    return b.finalize();
+  };
+  const TaskGraph at_bound = two_nodes(kMaxGraphCost - 2, 1);
+  EXPECT_EQ(at_bound.total_weight() + at_bound.total_edge_cost(),
+            kMaxGraphCost);
+  EXPECT_THROW(two_nodes(kMaxGraphCost - 1, 1), std::invalid_argument);
+  EXPECT_THROW(two_nodes(1, kMaxGraphCost), std::invalid_argument);
+}
+
+// Children come out sorted by id whatever order the edges were added in,
+// and parents sorted by id too.
+TEST(TaskGraphBuilder, CsrIsSortedWhateverTheEdgeOrder) {
+  TaskGraphBuilder b;
+  for (int i = 0; i < 5; ++i) b.add_node(1);
+  b.add_edge(0, 4, 1);
+  b.add_edge(2, 3, 2);
+  b.add_edge(0, 2, 3);
+  b.add_edge(1, 4, 4);
+  b.add_edge(0, 3, 5);
+  b.add_edge(2, 4, 6);
+  const TaskGraph g = b.finalize();
+  const std::vector<Adj> kids0(g.children(0).begin(), g.children(0).end());
+  EXPECT_EQ(kids0, (std::vector<Adj>{{2, 3}, {3, 5}, {4, 1}}));
+  const std::vector<Adj> pars4(g.parents(4).begin(), g.parents(4).end());
+  EXPECT_EQ(pars4, (std::vector<Adj>{{0, 1}, {1, 4}, {2, 6}}));
+  EXPECT_EQ(g.topological_order(), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+}
+
+// A duplicate edge is reported before a cycle in the same graph.
+TEST(TaskGraphBuilder, DuplicateEdgeReportedBeforeCycle) {
+  TaskGraphBuilder b;
+  b.add_node(1);
+  b.add_node(1);
+  b.add_edge(1, 0, 1);
+  b.add_edge(0, 1, 1);
+  b.add_edge(0, 1, 2);
+  try {
+    b.finalize();
+    FAIL() << "finalize accepted a duplicate edge";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "duplicate edge");
+  }
+}
+
 TEST(TaskGraph, CcrComputation) {
   const TaskGraph g = small_graph();
   // avg comm = 13/3, avg comp = 9/3 -> ccr = 13/9.
