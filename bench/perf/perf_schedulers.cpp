@@ -97,7 +97,7 @@ void BM_DlsApn(benchmark::State& state) {
     benchmark::DoNotOptimize(
         DlsApnScheduler().run(g, routes, ws).makespan());
 }
-BENCHMARK(BM_DlsApn)->Arg(100);
+BENCHMARK(BM_DlsApn)->Arg(100)->Arg(500);
 
 void BM_DlsApn_Naive(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
@@ -137,18 +137,35 @@ void BM_Mh_Apn(benchmark::State& state) {
 }
 BENCHMARK(BM_Mh_Apn)->Arg(100)->Arg(300);
 
-// BSA: every tentative migration rebuilds the whole schedule from the
-// updated assignment (apn_build_with_assignment), so one run costs
-// O(migrations x full build). Gated against absolute baselines.
-void BM_Bsa_Apn(benchmark::State& state) {
-  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+// BSA: every tentative migration copies the schedule's prefix before the
+// migrated task's b-level position and replays the suffix
+// (NetSchedule::assign_prefix + apn_replay), so one run costs
+// O(migrations x mean suffix). Gated against absolute baselines.
+void bsa_bench(benchmark::State& state, const TaskGraph& g) {
   const RoutingTable routes{Topology::hypercube(3)};
   SchedWorkspace ws;
   ws.begin_graph(g);
   for (auto _ : state)
     benchmark::DoNotOptimize(BsaScheduler().run(g, routes, ws).makespan());
 }
+
+void BM_Bsa_Apn(benchmark::State& state) {
+  bsa_bench(state, bench_graph(static_cast<NodeId>(state.range(0))));
+}
 BENCHMARK(BM_Bsa_Apn)->Arg(100)->Arg(300)->Arg(500);
+
+// CCR 0.1, where BSA accepts most trials and commits the most messages:
+// the case that dominates BSA's time in the paper sweep (bench_graph's
+// CCR 1 rejects most trials early).
+void BM_Bsa_Apn_LowCcr(benchmark::State& state) {
+  RgnosParams p;
+  p.num_nodes = static_cast<NodeId>(state.range(0));
+  p.ccr = 0.1;
+  p.parallelism = 3;
+  p.seed = 1998 + p.num_nodes;
+  bsa_bench(state, rgnos_graph(p));
+}
+BENCHMARK(BM_Bsa_Apn_LowCcr)->Arg(500);
 
 // EZ: one tentative merge per edge (~17k at v=500), each evaluated by an
 // append-only cluster schedule that stops as soon as a static-level bound

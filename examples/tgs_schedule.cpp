@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                 algo_name.c_str(), routes.topology().name().c_str(),
                 static_cast<long long>(ns.makespan()),
                 normalized_schedule_length(g, ns.makespan()),
-                ns.tasks().procs_used(), ns.messages().size());
+                ns.tasks().procs_used(), ns.num_messages());
     result = std::move(ns.tasks());
   } else {
     const auto algo = make_scheduler(algo_name);

@@ -44,9 +44,25 @@ void apn_probe_ready_all(const NetSchedule& ns, NodeId n,
       static_cast<std::size_t>(ns.topology().num_procs());
   scratch.arrival.resize(nprocs);
   scratch.ready.assign(nprocs, 0);
-  for (const Adj& par : g.parents(n)) {
-    const Time ft = s.finish(par.node);
-    ns.probe_arrival_all(s.proc(par.node), par.cost, ft, scratch.arrival);
+  std::vector<ApnSweepScratch::Source>& src = scratch.sources;
+  src.clear();
+  for (const Adj& par : g.parents(n))
+    src.push_back({s.proc(par.node), s.finish(par.node), par.cost});
+  // Group by processor, each group by descending finish, then descending
+  // cost: a parent is dominated iff an earlier one in its group has a
+  // cost at least its own.
+  std::sort(src.begin(), src.end(), [](const auto& a, const auto& b) {
+    if (a.proc != b.proc) return a.proc < b.proc;
+    if (a.finish != b.finish) return a.finish > b.finish;
+    return a.cost > b.cost;
+  });
+  int group = -1;
+  Cost front_cost = 0;
+  for (const ApnSweepScratch::Source& par : src) {
+    if (par.proc == group && par.cost <= front_cost) continue;
+    group = par.proc;
+    front_cost = par.cost;
+    ns.probe_arrival_all(par.proc, par.cost, par.finish, scratch.arrival);
     for (std::size_t p = 0; p < nprocs; ++p)
       scratch.ready[p] = std::max(scratch.ready[p], scratch.arrival[p]);
   }
@@ -69,15 +85,29 @@ Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion) {
   const TaskGraph& g = ns.graph();
   Schedule& s = ns.tasks();
   Time ready = 0;
-  for (const Adj& par : g.parents(n)) {
-    const int q = s.proc(par.node);
-    const Time arrival = q == p ? s.finish(par.node)
-                                : ns.commit_message(par.node, n, p);
+  const auto pars = g.parents(n);
+  for (std::size_t i = 0; i < pars.size(); ++i) {
+    const Time arrival = s.proc(pars[i].node) == p
+                             ? s.finish(pars[i].node)
+                             : ns.commit_parent_message(n, i, p);
     ready = std::max(ready, arrival);
   }
   const Time start = s.earliest_start_on(p, ready, g.weight(n), insertion);
   s.place(n, p, start);
   return start;
+}
+
+ApnBuildOrder::ApnBuildOrder(const TaskGraph& g)
+    : order(blevel_order(g)), pos(order.size()) {
+  for (std::size_t i = 0; i < order.size(); ++i)
+    pos[order[i]] = static_cast<std::uint32_t>(i);
+}
+
+void apn_replay(NetSchedule& ns, const ApnBuildOrder& ord,
+                const std::vector<ProcId>& assign, std::size_t from,
+                bool insertion) {
+  for (std::size_t i = from; i < ord.order.size(); ++i)
+    apn_commit_node(ns, ord.order[i], assign[ord.order[i]], insertion);
 }
 
 NetSchedule apn_build_with_assignment(const TaskGraph& g,
@@ -88,8 +118,7 @@ NetSchedule apn_build_with_assignment(const TaskGraph& g,
     throw std::invalid_argument(
         "apn_build_with_assignment: assignment size != graph node count");
   NetSchedule ns(g, routes);
-  for (NodeId n : blevel_order(g))
-    apn_commit_node(ns, n, assign[n], insertion);
+  apn_replay(ns, ApnBuildOrder(g), assign, 0, insertion);
   return ns;
 }
 

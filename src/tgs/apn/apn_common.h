@@ -4,6 +4,7 @@
 // fixed-assignment network list scheduler that BU and BSA build on.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,11 +46,18 @@ using ApnSchedulerPtr = std::unique_ptr<ApnScheduler>;
 Time apn_probe_est(const NetSchedule& ns, NodeId n, int p, bool insertion);
 
 /// One-to-all data-ready times: fills scratch.ready[p] with the arrival
-/// maximum over n's parents on every processor by composing each parent's
-/// one-to-all routing-tree sweep (NetSchedule::probe_arrival_all) -- each
+/// maximum over n's parents on every processor by composing one-to-all
+/// routing-tree sweeps (NetSchedule::probe_arrival_all) -- each swept
 /// parent touches each tree link once instead of re-walking its route per
-/// destination. Callers that only score a few processors (BSA's neighbour
-/// scan) combine this with Schedule::earliest_start_on themselves.
+/// destination. Only each source processor's Pareto front of parents is
+/// swept: for a fixed source, a message's probed arrival at every
+/// processor is monotone in (parent finish, message size), because
+/// Timeline::earliest_fit is monotone in its ready time and its duration
+/// and a route composes such steps. A parent that another parent on the
+/// same processor matches or beats on both values therefore never raises
+/// any maximum, and skipping it is exact. Callers that only score a few
+/// processors (BSA's neighbour scan) combine this with
+/// Schedule::earliest_start_on themselves.
 void apn_probe_ready_all(const NetSchedule& ns, NodeId n,
                          ApnSweepScratch& scratch);
 
@@ -65,11 +73,31 @@ void apn_probe_est_all(const NetSchedule& ns, NodeId n, bool insertion,
 /// earliest feasible start. Returns the start time.
 Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion);
 
+/// The commit order of assignment-driven builds -- descending b-level
+/// (blevel_order), a topological order -- and each node's position in it.
+struct ApnBuildOrder {
+  explicit ApnBuildOrder(const TaskGraph& g);
+
+  std::vector<NodeId> order;
+  std::vector<std::uint32_t> pos;  // order[pos[n]] == n
+};
+
+/// Commit order[from..] to their processors in `assign` (apn_commit_node).
+/// `ns` must hold exactly the first `from` commits of the same build: an
+/// empty schedule for from == 0, or NetSchedule::assign_prefix(full build,
+/// ord.pos, from) of any assignment that agrees with `assign` on
+/// order[0..from). Because a build only ever adds reservations, that
+/// prefix copy plus this replay equals the full build of `assign` -- BSA
+/// re-schedules just the suffix from a migrated task's position.
+void apn_replay(NetSchedule& ns, const ApnBuildOrder& ord,
+                const std::vector<ProcId>& assign, std::size_t from,
+                bool insertion);
+
 /// Deterministically materialize a complete NetSchedule from a fixed
-/// node -> processor assignment: tasks in descending b-level order,
-/// messages committed per node as above. Throws std::invalid_argument
-/// unless assign.size() == g.num_nodes() (tgs_serve feeds user-supplied
-/// graphs into this path; a short vector must not become an OOB read).
+/// node -> processor assignment: apn_replay from position 0 into an empty
+/// schedule. Throws std::invalid_argument unless assign.size() ==
+/// g.num_nodes() (tgs_serve feeds user-supplied graphs into this path; a
+/// short vector must not become an OOB read).
 NetSchedule apn_build_with_assignment(const TaskGraph& g,
                                       const RoutingTable& routes,
                                       const std::vector<ProcId>& assign,

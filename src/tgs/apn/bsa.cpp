@@ -11,9 +11,13 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   const Topology& topo = routes.topology();
   const int pivot0 = topo.max_degree_proc();
 
-  // Serial injection: everything on the first pivot.
+  // Serial injection: everything on the first pivot. `ns` is always the
+  // full build of `assign` in the b-level order `ord`.
   std::vector<ProcId> assign(g.num_nodes(), static_cast<ProcId>(pivot0));
-  NetSchedule ns = apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
+  const ApnBuildOrder ord(g);
+  NetSchedule ns(g, routes);
+  apn_replay(ns, ord, assign, 0, /*insertion=*/true);
+  NetSchedule trial(g, routes);
 
   // Breadth-first pivot order from pivot0 (neighbours ascend by id).
   std::vector<int> pivots;
@@ -64,8 +68,10 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
       }
       if (best_p < 0) continue;
 
-      // Tentatively migrate by rebuilding the whole schedule from the
-      // updated assignment, and roll back if the overall schedule suffers.
+      // Tentatively migrate: the build of the updated assignment agrees
+      // with `ns` on every commit before n's position, so copy that prefix
+      // and replay only the suffix; roll back if the overall schedule
+      // suffers.
       //
       // Tie rule: an EQUAL-makespan migration is accepted (<=, not <).
       // The task still moves even though the schedule as a whole gained
@@ -76,10 +82,10 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
       // changing <= to < is a behaviour change, not a cleanup.
       const Time before = ns.makespan();
       assign[n] = static_cast<ProcId>(best_p);
-      NetSchedule rebuilt =
-          apn_build_with_assignment(g, routes, assign, /*insertion=*/true);
-      if (rebuilt.makespan() <= before) {
-        ns = std::move(rebuilt);
+      trial.assign_prefix(ns, ord.pos, ord.pos[n]);
+      apn_replay(trial, ord, assign, ord.pos[n], /*insertion=*/true);
+      if (trial.makespan() <= before) {
+        std::swap(ns, trial);
       } else {
         assign[n] = static_cast<ProcId>(pivot);
       }

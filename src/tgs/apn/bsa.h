@@ -10,14 +10,18 @@
 // strength on large graphs to "an efficient scheduling of communication
 // messages", which the explicit link re-routing reproduces.
 //
-// Implementation note: every tentative migration rebuilds the whole
-// NetSchedule from the updated assignment (apn_build_with_assignment) and
-// keeps it when the makespan does not grow. docs/perf.md records why no
-// incremental in-place scheme is kept: on BSA's packed serial-injection
-// schedules a migration changes most of the schedule, and the retired
-// migration engine ran at 0.38x the speed of this loop. The loop is
-// pinned by a frozen copy, reference::full_rebuild_bsa in
-// tests/reference_schedulers.h.
+// Implementation note: the schedule is always the full build of the
+// current assignment in one fixed b-level order (apn_replay), and a
+// build only ever adds reservations. So a tentative migration of task n
+// agrees with the current schedule on every commit before n's position:
+// it copies that prefix (NetSchedule::assign_prefix, filtered timeline
+// copies), replays the suffix into a reused trial buffer, and swaps the
+// buffers when the makespan does not grow. docs/perf.md records the
+// measurements, and why no in-place scheme is kept: on BSA's packed
+// serial-injection schedules a migration changes most of the schedule,
+// and the retired migration engine ran at 0.38x the speed of a full
+// rebuild. The loop is pinned by a frozen rebuild-per-migration copy,
+// reference::full_rebuild_bsa in tests/reference_schedulers.h.
 #pragma once
 
 #include "tgs/apn/apn_common.h"

@@ -56,6 +56,13 @@ class TaskGraph {
     return pred_off_[n + 1] - pred_off_[n];
   }
 
+  /// Id of the edge parents(n)[i] -> n: its position in the predecessor
+  /// CSR. Ids are dense in [0, num_edges()), and a node's in-edges are
+  /// consecutive -- per-edge state indexes a flat array by it.
+  std::size_t parent_edge(NodeId n, std::size_t i) const {
+    return pred_off_[n] + i;
+  }
+
   /// Edge cost of (u, v); kNoEdge (-1) when the edge does not exist.
   static constexpr Cost kNoEdge = -1;
   Cost edge_cost(NodeId u, NodeId v) const;

@@ -9,8 +9,10 @@
 // child may start only after the last hop completes.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "tgs/net/routing.h"
@@ -25,13 +27,32 @@ struct MsgHop {
   Time end;
 };
 
+/// A committed message as read back from a NetSchedule. `hops` views the
+/// schedule's shared hop array: valid until the schedule next changes.
 struct Message {
   NodeId src;
   NodeId dst;
   Cost size;
   Time depart_after;  // FT(src) at routing time
-  Time arrival;       // last hop end (== depart_after when co-located)
-  std::vector<MsgHop> hops;
+  Time arrival;       // last hop end (== depart_after when it has no hops)
+  std::span<const MsgHop> hops;
+};
+
+/// NetSchedule::find_message's answer: one committed message, or none.
+/// It reads like a pointer (`m == nullptr`, `m->hops`).
+class FoundMessage {
+ public:
+  FoundMessage() = default;
+  explicit FoundMessage(const Message& m) : msg_(m) {}
+
+  const Message* operator->() const { return &*msg_; }
+  const Message& operator*() const { return *msg_; }
+  friend bool operator==(const FoundMessage& f, std::nullptr_t) {
+    return !f.msg_;
+  }
+
+ private:
+  std::optional<Message> msg_;
 };
 
 class NetSchedule {
@@ -48,7 +69,13 @@ class NetSchedule {
   /// Route the message of edge (u, v) (u placed, v's processor given) and
   /// commit the link reservations. Returns the arrival time at dst_proc.
   /// Co-located endpoints produce no message and arrive at depart_after.
+  /// Throws std::logic_error when the edge does not exist or already
+  /// carries a message.
   Time commit_message(NodeId u, NodeId v, int dst_proc);
+
+  /// commit_message for the edge parents(v)[i] -> v, which the caller
+  /// already holds: no edge search.
+  Time commit_parent_message(NodeId v, std::size_t i, int dst_proc);
 
   /// Arrival time the message WOULD have if routed now, without reserving
   /// links. Concurrent probes do not see each other (documented
@@ -68,13 +95,26 @@ class NetSchedule {
   /// Remove the committed message of edge (u, v), releasing its links.
   void release_message(NodeId u, NodeId v);
 
-  /// Committed messages sorted by (src, dst); rebuilt lazily.
+  /// Number of committed messages, O(1).
+  std::size_t num_messages() const { return num_messages_; }
+
+  /// Committed messages sorted by (src, dst); rebuilt lazily after a
+  /// change (a walk of the edges, no sort).
   const std::vector<Message>& messages() const;
 
-  /// The committed message of edge (u, v), or nullptr -- a keyed hash
-  /// lookup (validation was an O(messages) scan per edge without it). The
-  /// pointer is invalidated by the next commit/release.
-  const Message* find_message(NodeId u, NodeId v) const;
+  /// The committed message of edge (u, v), if any: the edge's slot, found
+  /// by its id (a search of parents(v) for u).
+  FoundMessage find_message(NodeId u, NodeId v) const;
+
+  /// Become a copy of `src` (same graph and routes) holding only the tasks
+  /// n with rank[n] < k and the messages into them: filtered bulk copies
+  /// of every processor and link timeline. When src was built by
+  /// committing nodes (apn_commit_node) in ascending rank and never
+  /// releasing anything, the result equals src's state after its first k
+  /// commits -- later commits only add reservations. `src` must not be
+  /// this schedule.
+  void assign_prefix(const NetSchedule& src,
+                     std::span<const std::uint32_t> rank, std::uint32_t k);
 
   const Timeline& link_timeline(int link) const { return links_[link]; }
 
@@ -83,16 +123,47 @@ class NetSchedule {
   Time makespan() const { return tasks_.makespan(); }
 
  private:
+  // Link interval owner of the message of edge (u, v); v is its low word.
   static std::int64_t msg_key(NodeId u, NodeId v) {
     return (static_cast<std::int64_t>(u) << 32) | v;
   }
 
+  // The message state of one edge, indexed by TaskGraph::parent_edge.
+  struct Slot {
+    Time depart_after = 0;
+    Time arrival = 0;
+    std::uint32_t hop_begin = 0;  // into hops_
+    std::uint32_t hop_count = 0;
+    bool committed = false;
+  };
+
+  /// parents(v) index of u, or num_parents(v) when (u, v) is no edge.
+  std::size_t parent_index(NodeId u, NodeId v) const;
+
   Schedule tasks_;
   const RoutingTable* routes_;
   std::vector<Timeline> links_;
-  std::unordered_map<std::int64_t, Message> messages_;
-  mutable std::vector<Message> order_;  // rebuilt lazily for messages()
-  mutable bool order_dirty_ = true;
+  std::vector<Slot> slots_;    // one per graph edge
+  std::vector<MsgHop> hops_;   // every message's hops, in commit order
+  std::size_t num_messages_ = 0;
+
+  // messages()'s lazily built list. Its spans point into hops_, so a copy
+  // starts dirty and rebuilds against its own hops_; a move carries both
+  // buffers along and keeps the list.
+  struct MessageList {
+    std::vector<Message> list;
+    bool dirty = true;
+
+    MessageList() = default;
+    MessageList(const MessageList&) {}
+    MessageList& operator=(const MessageList&) {
+      dirty = true;
+      return *this;
+    }
+    MessageList(MessageList&&) = default;
+    MessageList& operator=(MessageList&&) = default;
+  };
+  mutable MessageList order_;
 };
 
 }  // namespace tgs

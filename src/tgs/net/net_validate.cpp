@@ -59,7 +59,7 @@ ValidationResult validate_net_schedule(const NetSchedule& ns) {
         }
         continue;
       }
-      const Message* m = ns.find_message(u, v);
+      const FoundMessage m = ns.find_message(u, v);
       if (m == nullptr) {
         std::ostringstream os;
         os << "missing message for cross-proc edge " << u << "->" << v;

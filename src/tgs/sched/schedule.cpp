@@ -36,6 +36,26 @@ void Schedule::unplace(NodeId n) {
   --placed_count_;
 }
 
+void Schedule::assign_prefix(const Schedule& src,
+                             std::span<const std::uint32_t> rank,
+                             std::uint32_t k) {
+  graph_ = src.graph_;
+  timelines_.resize(src.timelines_.size());
+  const auto keep = [&](std::int64_t owner) { return rank[owner] < k; };
+  for (std::size_t p = 0; p < timelines_.size(); ++p)
+    timelines_[p].assign_filtered(src.timelines_[p], keep);
+  const std::size_t n = src.proc_.size();
+  proc_.resize(n);
+  start_.resize(n);
+  placed_count_ = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const bool kept = rank[v] < k && src.proc_[v] != kNoProc;
+    proc_[v] = kept ? src.proc_[v] : kNoProc;
+    start_[v] = kept ? src.start_[v] : 0;
+    placed_count_ += kept;
+  }
+}
+
 int Schedule::procs_used() const {
   int used = 0;
   for (const Timeline& tl : timelines_)

@@ -7,6 +7,8 @@
 // net/net_schedule.h).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tgs/graph/task_graph.h"
@@ -29,6 +31,14 @@ class Schedule {
 
   /// Remove a placed task (used by migrating / backtracking algorithms).
   void unplace(NodeId n);
+
+  /// Become a copy of `src` (same graph) holding only the tasks n with
+  /// rank[n] < k, by filtered timeline copies (Timeline::assign_filtered).
+  /// When src was built by placing tasks in ascending rank and never
+  /// unplacing one, the result equals src's state after its first k
+  /// placements. `src` must not be this schedule.
+  void assign_prefix(const Schedule& src, std::span<const std::uint32_t> rank,
+                     std::uint32_t k);
 
   bool is_placed(NodeId n) const { return proc_[n] != kNoProc; }
   ProcId proc(NodeId n) const { return proc_[n]; }

@@ -277,6 +277,22 @@ bool Timeline::release(std::int64_t owner, Time start_hint) {
   return release(owner);
 }
 
+void Timeline::push_packed(std::size_t& used, const Interval& iv) {
+  if (used == 0 || chunks_[used - 1].ivs.size() == kPack) {
+    if (used == chunks_.size()) chunks_.emplace_back();
+    chunks_[used++].ivs.clear();
+  }
+  chunks_[used - 1].ivs.push_back(iv);
+  ++size_;
+}
+
+void Timeline::seal_packed(std::size_t used) {
+  chunks_.resize(used);
+  for (Chunk& c : chunks_) c.max_gap = internal_max_gap(c.ivs);
+  end_time_ = chunks_.empty() ? 0 : chunks_.back().last_end();
+  rebuild_tree();
+}
+
 void Timeline::clear() {
   chunks_.clear();
   tree_.clear();

@@ -66,6 +66,22 @@ class Timeline {
   /// Remove all intervals.
   void clear();
 
+  /// Become a copy of `src` holding only the intervals whose owner
+  /// satisfies keep(owner), in src's order: one pass that packs them into
+  /// fresh chunks (no fits, no searches), reusing this timeline's chunk
+  /// capacity. Queries on the result are bit-identical to a timeline that
+  /// occupied just those intervals, because removing intervals never
+  /// reorders the survivors. `src` must not be this timeline.
+  template <class Keep>
+  void assign_filtered(const Timeline& src, Keep keep) {
+    std::size_t used = 0;
+    size_ = 0;
+    for (const Chunk& c : src.chunks_)
+      for (const Interval& iv : c.ivs)
+        if (keep(iv.owner)) push_packed(used, iv);
+    seal_packed(used);
+  }
+
   /// End of the last interval (0 when empty).
   Time end_time() const { return end_time_; }
 
@@ -82,6 +98,9 @@ class Timeline {
   // Chunk capacity: split at > kSplit into two halves. Bounds the in-chunk
   // scan of every query and the memmove of every occupy/release.
   static constexpr std::size_t kSplit = 48;
+  // Chunk size assign_filtered packs to: mid-way between the halves a
+  // split leaves and kSplit, so neither a split nor a tiny chunk follows.
+  static constexpr std::size_t kPack = kSplit * 3 / 4;
 
   struct Chunk {
     std::vector<Interval> ivs;  // sorted by start, non-overlapping
@@ -118,6 +137,12 @@ class Timeline {
   void rebuild_tree();                       // chunk count changed
   void split_chunk(std::size_t c);           // kSplit overflow
   void erase_interval(std::size_t c, std::size_t pos);
+
+  // assign_filtered's two steps: append `iv` to chunk used - 1 (opening
+  // chunk `used` when that one holds kPack), then drop the chunks past
+  // `used` and rebuild the gap index.
+  void push_packed(std::size_t& used, const Interval& iv);
+  void seal_packed(std::size_t used);
 
   /// First chunk index >= lo whose leaf key can hold `dur`; -1 if none.
   int first_chunk_with_gap(std::size_t lo, Cost dur) const;

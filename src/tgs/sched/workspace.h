@@ -12,9 +12,9 @@
 //  * PairScratch -- the flat per-node pools of the incremental
 //    (ready node, processor) pair selectors (bnp/bnp_common.h). Stored
 //    behind a pointer so sched/ does not include bnp/ headers.
-//  * ApnSweepScratch -- the per-processor buffers of the one-to-all APN
-//    probes (apn/apn_common.h), so the per-step sweeps of MH / DLS(APN) /
-//    BSA allocate nothing in steady state.
+//  * ApnSweepScratch -- the parent list and per-processor buffers of the
+//    one-to-all APN probes (apn/apn_common.h), so the per-step sweeps of
+//    MH / DLS(APN) / BSA allocate nothing in steady state.
 //
 // Results never depend on workspace contents -- it only recycles capacity
 // -- so sharing one workspace across algorithms or reusing it across
@@ -87,11 +87,18 @@ class RunDeadline {
   bool armed_ = false;
 };
 
-/// Reusable per-processor buffers of the one-to-all APN probes
-/// (apn_probe_est_all): one arrival sweep, the running data-ready maxima,
-/// and the per-processor EST output. Capacity-only state -- contents never
-/// outlive one probe.
+/// Reusable buffers of the one-to-all APN probes (apn_probe_ready_all,
+/// apn_probe_est_all): the probed node's parents, one arrival sweep, the
+/// running data-ready maxima, and the per-processor EST output.
+/// Capacity-only state -- contents never outlive one probe.
 struct ApnSweepScratch {
+  /// One parent of the probed node: where and when its data leaves.
+  struct Source {
+    int proc;
+    Time finish;
+    Cost cost;
+  };
+  std::vector<Source> sources;  // the probed node's parents, sorted
   std::vector<Time> arrival;
   std::vector<Time> ready;
   std::vector<Time> est;

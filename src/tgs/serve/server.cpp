@@ -355,7 +355,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
           result.makespan = ns.makespan();
           result.nsl = normalized_schedule_length(*rr->graph, ns.makespan());
           result.procs_used = ns.tasks().procs_used();
-          result.num_messages = ns.messages().size();
+          result.num_messages = ns.num_messages();
           result.schedule_text = schedule_to_string(ns.tasks());
         } else {
           const SchedulerPtr algo = make_scheduler(rr->resolved_algo);

@@ -139,9 +139,10 @@ inline NetSchedule naive_dls_apn(const TaskGraph& g,
 
 /// BSA frozen as a rebuild-per-migration loop: every tentative migration
 /// rebuilds the entire NetSchedule from the updated assignment via
-/// apn_build_with_assignment. BsaScheduler (apn/bsa.cpp) runs this same
-/// loop today; this copy is the fixed point that future edits to bsa.cpp
-/// are checked against (Bsa.MatchesFrozenRebuildReference), the way
+/// apn_build_with_assignment. BsaScheduler (apn/bsa.cpp) makes the same
+/// decisions, replaying only each trial's suffix; this copy is the fixed
+/// point that future edits to bsa.cpp are checked against
+/// (Bsa.MatchesFrozenRebuildReference), the way
 /// tests/reference_named.h freezes the named list schedulers. Do not edit
 /// it along with bsa.cpp -- a change here is a change of BSA's schedules.
 inline NetSchedule full_rebuild_bsa(const TaskGraph& g,

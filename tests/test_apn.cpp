@@ -14,6 +14,7 @@
 #include "tgs/harness/registry.h"
 #include "tgs/net/net_validate.h"
 #include "tgs/unc/cluster_schedule.h"
+#include "tgs/util/rng.h"
 
 namespace tgs {
 namespace {
@@ -305,6 +306,136 @@ TEST(Bsa, MatchesFrozenRebuildReference) {
       const NetSchedule want = reference::full_rebuild_bsa(g, routes);
       const NetSchedule got = BsaScheduler().run(g, routes);
       expect_net_equal(got, want, label);
+    }
+  }
+}
+
+/// A random DAG with weights and costs drawn from tiny ranges, so finish
+/// times and message sizes tie often; about a quarter of the edges cost 0.
+TaskGraph tie_heavy_graph(NodeId v, double edge_prob, std::uint64_t seed) {
+  Rng rng(seed);
+  TaskGraphBuilder b("tie_heavy_" + std::to_string(seed));
+  for (NodeId n = 0; n < v; ++n) b.add_node(rng.uniform_int(1, 4));
+  for (NodeId dst = 1; dst < v; ++dst)
+    for (NodeId src = 0; src < dst; ++src)
+      if (rng.bernoulli(edge_prob))
+        b.add_edge(src, dst, rng.bernoulli(0.25) ? 0 : rng.uniform_int(1, 3) * 4);
+  return b.finalize();
+}
+
+std::vector<Topology> replay_topos() {
+  std::vector<Topology> topos;
+  topos.push_back(Topology::ring(5));
+  topos.push_back(Topology::mesh(2, 3));
+  topos.push_back(Topology::hypercube(3));
+  topos.push_back(Topology::random_connected(6, 0.3, 11));
+  return topos;
+}
+
+/// Every processor and link timeline of a and b holds the same intervals,
+/// owners included.
+void expect_timelines_equal(const NetSchedule& a, const NetSchedule& b,
+                            const std::string& label) {
+  ASSERT_EQ(a.tasks().num_procs(), b.tasks().num_procs()) << label;
+  for (int p = 0; p < a.tasks().num_procs(); ++p)
+    ASSERT_EQ(a.tasks().timeline(p).intervals(),
+              b.tasks().timeline(p).intervals())
+        << label << " proc " << p;
+  for (int l = 0; l < a.topology().num_links(); ++l)
+    ASSERT_EQ(a.link_timeline(l).intervals(), b.link_timeline(l).intervals())
+        << label << " link " << l;
+  ASSERT_EQ(a.num_messages(), b.num_messages()) << label;
+}
+
+// BSA's trial step: copying the prefix before a moved task's b-level
+// position out of the current schedule and replaying the suffix must equal
+// building the new assignment from scratch. The two buffers are swapped
+// on random "accepts", as BSA does, so stale capacity is reused.
+TEST(ApnCommon, SuffixReplayMatchesFullBuild) {
+  std::vector<TaskGraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    graphs.push_back(tie_heavy_graph(30, 0.15, seed));
+  {
+    RgnosParams p;
+    p.num_nodes = 60;
+    p.ccr = 0.1;
+    p.seed = 5;
+    graphs.push_back(rgnos_graph(p));
+    p.ccr = 10;
+    graphs.push_back(rgnos_graph(p));
+  }
+  for (const Topology& topo : replay_topos()) {
+    const RoutingTable routes(topo);
+    const int nprocs = topo.num_procs();
+    for (const TaskGraph& g : graphs) {
+      const ApnBuildOrder ord(g);
+      for (const bool insertion : {true, false}) {
+        Rng rng(g.num_nodes() * 31 + nprocs);
+        std::vector<ProcId> assign(g.num_nodes());
+        for (ProcId& p : assign)
+          p = static_cast<ProcId>(rng.uniform_int(0, nprocs - 1));
+        NetSchedule cur =
+            apn_build_with_assignment(g, routes, assign, insertion);
+        NetSchedule trial(g, routes);
+        for (int step = 0; step < 12; ++step) {
+          const NodeId n = static_cast<NodeId>(rng.uniform_int(0, g.num_nodes() - 1));
+          const ProcId old = assign[n];
+          assign[n] = static_cast<ProcId>(rng.uniform_int(0, nprocs - 1));
+          trial.assign_prefix(cur, ord.pos, ord.pos[n]);
+          apn_replay(trial, ord, assign, ord.pos[n], insertion);
+          const NetSchedule want =
+              apn_build_with_assignment(g, routes, assign, insertion);
+          const std::string label = g.name() + " on " + topo.name() +
+                                    " step " + std::to_string(step) +
+                                    " insertion " + std::to_string(insertion);
+          expect_net_equal(trial, want, label);
+          expect_timelines_equal(trial, want, label);
+          ASSERT_TRUE(validate_net_schedule(trial).ok) << label;
+          if (rng.bernoulli(0.5))
+            std::swap(cur, trial);
+          else
+            assign[n] = old;
+        }
+      }
+    }
+  }
+}
+
+// apn_probe_ready_all sweeps only each source processor's Pareto front of
+// (finish, cost); it must equal the maximum over a sweep of EVERY parent.
+// Fan-in graphs put many parents on one processor, with tied finish times
+// across processors, tied costs and zero-cost edges.
+TEST(ApnCommon, ReadyAllMatchesEveryParentSweep) {
+  std::vector<TaskGraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    graphs.push_back(tie_heavy_graph(40, 0.3, seed));
+  graphs.push_back(zero_cost_mix());
+  graphs.push_back(fork_join(12, 3, 4));
+  for (const Topology& topo : replay_topos()) {
+    const RoutingTable routes(topo);
+    const std::size_t nprocs = static_cast<std::size_t>(topo.num_procs());
+    for (const TaskGraph& g : graphs) {
+      Rng rng(g.num_edges() + nprocs);
+      NetSchedule ns(g, routes);
+      ApnSweepScratch scratch;
+      std::vector<Time> arrival(nprocs);
+      for (NodeId n : blevel_order(g)) {
+        std::vector<Time> want(nprocs, 0);
+        for (const Adj& par : g.parents(n)) {
+          ns.probe_arrival_all(ns.tasks().proc(par.node), par.cost,
+                               ns.tasks().finish(par.node), arrival);
+          for (std::size_t p = 0; p < nprocs; ++p)
+            want[p] = std::max(want[p], arrival[p]);
+        }
+        apn_probe_ready_all(ns, n, scratch);
+        ASSERT_EQ(scratch.ready, want) << g.name() << " on " << topo.name()
+                                       << " node " << n;
+        // Mostly two processors, so parents pile up on each.
+        const int p = rng.bernoulli(0.8)
+                          ? static_cast<int>(rng.uniform_int(0, 1))
+                          : static_cast<int>(rng.uniform_int(0, nprocs - 1));
+        apn_commit_node(ns, n, p, /*insertion=*/rng.bernoulli(0.5));
+      }
     }
   }
 }

@@ -5,6 +5,10 @@
 // for accepted input, produce the same graph (CSR arrays, topological
 // order, totals, tgs1 text, fingerprint) or the same JSON document.
 //
+// A bounded sample of the accepted mutated graphs is then scheduled by all
+// 15 algorithms (the 4 APN ones on hypercube(3) and ring(4)), and every
+// schedule is validated.
+//
 // No libFuzzer: a fixed seed and a bounded iteration count keep the run
 // reproducible and a few seconds long even under ASan+UBSan. A failing
 // input is printed escaped, with its iteration number.
@@ -19,13 +23,17 @@
 #include <vector>
 
 #include "reference_graph_io.h"
+#include "reference_schedulers.h"
 #include "tgs/exec/jsonl.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/graph/fingerprint.h"
 #include "tgs/graph/graph_io.h"
+#include "tgs/harness/registry.h"
+#include "tgs/net/net_validate.h"
 #include "tgs/serve/json.h"
+#include "tgs/sched/validate.h"
 #include "tgs/serve/protocol.h"
 #include "tgs/util/rng.h"
 
@@ -34,6 +42,10 @@ namespace {
 
 constexpr int kGraphIterations = 14000;
 constexpr int kJsonIterations = 6000;
+// Every kScheduleStride-th accepted mutated graph with at most
+// kScheduleMaxNodes tasks is scheduled by every algorithm.
+constexpr int kScheduleStride = 8;
+constexpr NodeId kScheduleMaxNodes = 64;
 
 std::string escaped(const std::string& s) {
   std::string out;
@@ -384,6 +396,81 @@ TEST(FuzzInputs, MutatedGraphTextParsesIdentically) {
   // anything.
   EXPECT_GT(accepted, kGraphIterations / 20);
   EXPECT_LT(accepted, kGraphIterations - kGraphIterations / 20);
+}
+
+/// Empty when two NetSchedules place every task and route every message,
+/// hop by hop, the same; else the first difference.
+std::string net_difference(const NetSchedule& a, const NetSchedule& b) {
+  for (NodeId n = 0; n < a.graph().num_nodes(); ++n)
+    if (a.tasks().proc(n) != b.tasks().proc(n) ||
+        a.tasks().start(n) != b.tasks().start(n))
+      return "task " + std::to_string(n);
+  const std::vector<Message>& ma = a.messages();
+  const std::vector<Message>& mb = b.messages();
+  if (ma.size() != mb.size()) return "message count";
+  for (std::size_t i = 0; i < ma.size(); ++i) {
+    const bool same =
+        ma[i].src == mb[i].src && ma[i].dst == mb[i].dst &&
+        ma[i].arrival == mb[i].arrival && ma[i].hops.size() == mb[i].hops.size() &&
+        std::equal(ma[i].hops.begin(), ma[i].hops.end(), mb[i].hops.begin(),
+                   [](const MsgHop& x, const MsgHop& y) {
+                     return x.link == y.link && x.start == y.start;
+                   });
+    if (!same) return "message " + std::to_string(i);
+  }
+  return {};
+}
+
+TEST(FuzzInputs, AcceptedGraphsScheduleValidly) {
+  // The graph mutation stream again (its own seed), now scheduling a
+  // sample of what the parser accepts: weights anywhere in the cost
+  // domain, zero-cost edges, empty and edge-free graphs.
+  const std::vector<std::string> seeds = graph_seeds();
+  const auto fully_connected = make_unc_and_bnp_schedulers();
+  const auto apn = make_apn_schedulers();
+  const RoutingTable hypercube{Topology::hypercube(3)};
+  const RoutingTable ring{Topology::ring(4)};
+  Rng rng(20261017);
+  int accepted = 0;
+  int scheduled = 0;
+  for (int it = 0; it < kGraphIterations; ++it) {
+    const std::string text =
+        mutate_graph(seeds[pick(rng, seeds.size() - 1)], rng);
+    std::optional<TaskGraph> parsed;
+    try {
+      parsed.emplace(graph_from_string(text));
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    const TaskGraph& g = *parsed;
+    if (accepted++ % kScheduleStride != 0 || g.num_nodes() > kScheduleMaxNodes)
+      continue;
+    ++scheduled;
+    const std::string where = "iteration " + std::to_string(it) + ": " + escaped(text);
+    SchedWorkspace ws;
+    ws.begin_graph(g);
+    for (const auto& algo : fully_connected) {
+      const Schedule s = algo->run(g, SchedOptions{}, ws);
+      const ValidationResult v = validate_schedule(s);
+      ASSERT_TRUE(v.ok) << algo->name() << ": " << v.error << "\n" << where;
+    }
+    for (const RoutingTable* routes : {&hypercube, &ring}) {
+      for (const auto& algo : apn) {
+        const NetSchedule ns = algo->run(g, *routes, ws);
+        const ValidationResult v = validate_net_schedule(ns);
+        ASSERT_TRUE(v.ok) << algo->name() << " on "
+                          << routes->topology().name() << ": " << v.error
+                          << "\n" << where;
+        if (algo->name() == "BSA") {
+          ASSERT_EQ(net_difference(ns, reference::full_rebuild_bsa(g, *routes)),
+                    "")
+              << "BSA vs its frozen rebuild on " << routes->topology().name()
+              << "\n" << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(scheduled, 200);
 }
 
 // ------------------------------------------------------------------ JSON --

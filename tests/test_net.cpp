@@ -3,6 +3,8 @@
 // APN validation.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "tgs/gen/structured.h"
@@ -255,6 +257,37 @@ TEST(NetSchedule, ReleaseMessageFreesLinks) {
   EXPECT_TRUE(ns.messages().empty());
   const int link = topo.link_between(0, 1);
   EXPECT_TRUE(ns.link_timeline(link).empty());
+}
+
+TEST(NetSchedule, CopyReadsItsOwnMessages) {
+  // messages() hands out views of the schedule's hop array. A copy made
+  // after the list was built must answer from its own array: the
+  // original is destroyed before the copy is read (ASan flags a dangling
+  // view). Moves keep the list valid.
+  const TaskGraph g = fork_join(6, 10, 8);
+  const RoutingTable routes{Topology::ring(4)};
+  auto original = std::make_unique<NetSchedule>(g, routes);
+  original->tasks().place(0, 0, 0);
+  for (NodeId w = 1; w <= 6; ++w)
+    original->commit_message(0, w, static_cast<int>(w % 4));
+  std::vector<std::pair<Time, std::size_t>> want;
+  for (const Message& m : original->messages())
+    want.emplace_back(m.arrival, m.hops.size());
+  ASSERT_EQ(want.size(), 6u);
+  auto copy = std::make_unique<NetSchedule>(*original);
+  original.reset();
+  ASSERT_EQ(copy->messages().size(), 6u);
+  NetSchedule moved = std::move(*copy);
+  copy.reset();
+  std::vector<std::pair<Time, std::size_t>> got;
+  for (const Message& m : moved.messages()) {
+    got.emplace_back(m.arrival, m.hops.size());
+    if (!m.hops.empty()) {
+      ASSERT_EQ(m.hops.back().end, m.arrival);
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(moved.num_messages(), 6u);
 }
 
 TEST(NetValidate, CatchesMissingMessage) {

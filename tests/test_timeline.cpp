@@ -233,6 +233,71 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   }
 }
 
+TEST(Timeline, FilteredCopyMatchesFlatReferenceUnderChurn) {
+  // The churn above, with a filtered copy every 300 steps: both stores
+  // drop the intervals of one owner residue class (assign_filtered on the
+  // chunked store, a filter of the flat list on the reference), and the
+  // churn continues on the copies. The copies alternate between two
+  // chunked timelines, so assign_filtered also reuses stale chunks.
+  // Durations are positive: the flat reference orders a block behind a
+  // zero-width interval at the same start, which the chunked store (and
+  // every schedule) never produces.
+  for (std::uint64_t seed : {3ull, 11ull, 2026ull}) {
+    Rng rng(seed);
+    Timeline buf[2];
+    int cur = 0;
+    FlatTimeline ref;
+    std::vector<std::pair<std::int64_t, Time>> live;  // owner -> start
+    std::int64_t next_owner = 0;
+    for (int step = 1; step <= 3000; ++step) {
+      Timeline& tl = buf[cur];
+      const int op = static_cast<int>(rng.uniform_int(0, 9));
+      if (op < 6 || live.empty()) {
+        const Time ready = rng.uniform_int(0, 3000);
+        const Cost dur = rng.uniform_int(1, 40);
+        const Time at = tl.earliest_fit(ready, dur, true);
+        ASSERT_EQ(at, ref.earliest_fit(ready, dur, true));
+        tl.occupy(next_owner, at, dur);
+        ref.occupy(next_owner, at, dur);
+        live.emplace_back(next_owner++, at);
+      } else if (op < 8) {
+        const std::size_t i =
+            static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
+        const auto [owner, start] = live[i];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        ASSERT_TRUE(tl.release(owner, start));
+        ASSERT_TRUE(ref.release(owner));
+      } else {
+        const Time ready = rng.uniform_int(0, 4000);
+        const Cost dur = rng.uniform_int(0, 60);
+        ASSERT_EQ(tl.earliest_fit(ready, dur, true),
+                  ref.earliest_fit(ready, dur, true));
+        ASSERT_EQ(tl.earliest_fit(ready, dur, false),
+                  ref.earliest_fit(ready, dur, false));
+        ASSERT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
+      }
+      if (step % 300 == 0) {
+        const std::int64_t drop = step / 300 % 3;
+        const auto keep = [drop](std::int64_t owner) {
+          return owner % 3 != drop;
+        };
+        buf[1 - cur].assign_filtered(tl, keep);
+        cur = 1 - cur;
+        const std::vector<Interval> all = ref.intervals();
+        ref = FlatTimeline();
+        for (const Interval& iv : all)
+          if (keep(iv.owner)) ref.occupy(iv.owner, iv.start, iv.end - iv.start);
+        std::erase_if(live, [&](const auto& e) { return !keep(e.first); });
+        ASSERT_EQ(buf[cur].intervals(), ref.intervals()) << "step " << step;
+        ASSERT_EQ(buf[cur].size(), ref.size());
+        ASSERT_EQ(buf[cur].end_time(),
+                  ref.size() == 0 ? 0 : ref.intervals().back().end);
+      }
+    }
+    EXPECT_EQ(buf[cur].intervals(), ref.intervals());
+  }
+}
+
 TEST(Timeline, ReleaseEverythingThenReuse) {
   Timeline tl;
   for (int i = 0; i < 200; ++i) tl.occupy(i, i * 5, 5);  // back-to-back
