@@ -27,6 +27,7 @@ Schedule LastScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   ReadyList ready(g);
 
   while (!ready.empty()) {
+    ws.deadline().poll();
     // Highest D_NODE = to_scheduled / incident, compared exactly via cross
     // multiplication in 128 bits (each factor fits int64, the product may
     // not); ties -> higher static level, then smaller id.

@@ -1,7 +1,6 @@
 #include "tgs/map/cluster_map.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "tgs/unc/cluster_schedule.h"
 
@@ -40,36 +39,49 @@ std::vector<ClusterInfo> collect_clusters(const TaskGraph& g,
   return info;
 }
 
+// Yang's RCP fold: clusters in descending total-work order, each on the
+// least-loaded processor (ties: smaller id).
+std::vector<ProcId> rcp_cluster_assignment(const TaskGraph& g,
+                                           const std::vector<ProcId>& clusters,
+                                           int num_procs) {
+  std::vector<Cost> load(num_procs, 0);
+  std::vector<ProcId> assign(g.num_nodes(), 0);
+  for (const ClusterInfo& c : collect_clusters(g, clusters)) {
+    const ProcId p = static_cast<ProcId>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    for (NodeId n : c.members) assign[n] = p;
+    load[p] += c.work;
+  }
+  return assign;
+}
+
 }  // namespace
 
 Schedule map_clusters_sarkar(const TaskGraph& g,
                              const std::vector<ProcId>& clusters,
                              int num_procs) {
   const auto info = collect_clusters(g, clusters);
-  const std::vector<NodeId> order = blevel_order(g);
-  std::vector<Time> start_scratch, avail_scratch;
 
   // assign[n] = physical processor; nodes of unassigned clusters are parked
   // on a virtual processor so that partial evaluations stay comparable.
   std::vector<ProcId> assign(g.num_nodes(), 0);
+  ClusterEvaluator eval(g, info.size() + std::max(num_procs, 0));
 
   // Greedy commit, considering execution order: evaluate the ordered
   // schedule of everything assigned so far plus the candidate cluster on
   // each processor. Unassigned clusters are evaluated on private virtual
   // processors (num_procs + k), approximating their future parallelism.
-  {
-    // Initial: every cluster on its own virtual processor.
-    for (std::size_t k = 0; k < info.size(); ++k)
-      for (NodeId n : info[k].members)
-        assign[n] = static_cast<ProcId>(num_procs + static_cast<int>(k));
-  }
+  for (std::size_t k = 0; k < info.size(); ++k)
+    for (NodeId n : info[k].members)
+      assign[n] = static_cast<ProcId>(num_procs + static_cast<int>(k));
   for (std::size_t k = 0; k < info.size(); ++k) {
     ProcId best_p = 0;
     Time best_len = kTimeInf;
     for (ProcId p = 0; p < num_procs; ++p) {
       for (NodeId n : info[k].members) assign[n] = p;
-      const Time len =
-          assignment_makespan(g, assign, order, start_scratch, avail_scratch);
+      // Only a strict improvement is kept, so a trial past best_len - 1
+      // may stop early (ClusterEvaluator).
+      const Time len = eval.makespan(assign, best_len - 1);
       if (len < best_len) {
         best_len = len;
         best_p = p;
@@ -87,20 +99,12 @@ Schedule map_clusters_rcp(const TaskGraph& g,
       g, rcp_cluster_assignment(g, clusters, num_procs));
 }
 
-std::vector<ProcId> rcp_cluster_assignment(const TaskGraph& g,
-                                           const std::vector<ProcId>& clusters,
-                                           int num_procs) {
-  const auto info = collect_clusters(g, clusters);
-  std::vector<Cost> load(num_procs, 0);
-  std::vector<ProcId> assign(g.num_nodes(), 0);
-  for (const ClusterInfo& c : info) {
-    // Least-loaded processor (ties: smaller id).
-    const ProcId p = static_cast<ProcId>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    for (NodeId n : c.members) assign[n] = p;
-    load[p] += c.work;
-  }
-  return assign;
+std::vector<ProcId> fit_clusters(const TaskGraph& g,
+                                 std::vector<ProcId> clusters, int num_procs) {
+  if (num_procs <= 0 || clusters.empty() ||
+      *std::ranges::max_element(clusters) < num_procs)
+    return clusters;
+  return rcp_cluster_assignment(g, clusters, num_procs);
 }
 
 }  // namespace tgs

@@ -36,16 +36,18 @@ Schedule map_clusters_sarkar(const TaskGraph& g,
 /// Yang's RCP-style merge: clusters in descending total-work order are
 /// placed LPT-style on the least-loaded processor, ignoring execution
 /// order; one final list schedule materializes the result. O(k log k + v).
+/// Unlike fit_clusters, clusters that already fit are relabelled too.
 Schedule map_clusters_rcp(const TaskGraph& g,
                           const std::vector<ProcId>& clusters,
                           int num_procs);
 
-/// The assignment step of map_clusters_rcp alone: fold the clusters onto
-/// `num_procs` processors LPT-style and return the node -> processor map
-/// without materializing a schedule. The ParamScheduler uses this to bound
-/// a ClusterStep's cluster count when SchedOptions::num_procs is set.
-std::vector<ProcId> rcp_cluster_assignment(const TaskGraph& g,
-                                           const std::vector<ProcId>& clusters,
-                                           int num_procs);
+/// Put UNC clusters on a bounded machine. With more clusters than
+/// `num_procs`, fold them with map_clusters_rcp's assignment step and
+/// return the node -> processor map; otherwise, or when `num_procs` <= 0
+/// (unbounded), return `clusters` unchanged. Every clustered parameter
+/// point (EZ, LC, param:.../{ez,lc,dsc}) and bounded DSC reach a bounded
+/// machine through this one fold.
+std::vector<ProcId> fit_clusters(const TaskGraph& g,
+                                 std::vector<ProcId> clusters, int num_procs);
 
 }  // namespace tgs

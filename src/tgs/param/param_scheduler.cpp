@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/graph/attributes.h"
@@ -109,46 +110,54 @@ class ListPhase {
     }
   }
 
-  // ETF minimizes (EST, rank); DLS maximizes dl = key - EST with ties on
-  // earlier start then smaller id. The argmin stays a linear scan over the
-  // ready set on purpose: a lazy heap over the cached pairs was tried and
-  // measured SLOWER at giant scale (docs/perf.md, PR 9) -- wide symmetric
-  // graphs funnel thousands of cached bests onto one processor, so each
-  // placement re-keys O(ready) entries and the heap turns one O(ready)
-  // scan into O(ready log ready) churn. The selector's bucket rescoring
-  // already bounds the real per-placement work.
+  // One ETF or DLS pick over the ready set, start_of(m) being m's start
+  // on the processor it would take. ETF minimizes (EST, rank); DLS
+  // maximizes dl = key - EST with ties on earlier start then smaller id.
+  // The argmin stays a linear scan over the ready set on purpose: a lazy
+  // heap over the cached pairs was tried and measured SLOWER at giant
+  // scale (docs/perf.md, "the pair-heap negative result") -- wide
+  // symmetric graphs funnel thousands of cached bests onto one processor,
+  // so each placement re-keys O(ready) entries and the heap turns one
+  // O(ready) scan into O(ready log ready) churn. The selector's bucket
+  // rescoring already bounds the real per-placement work.
+  template <class StartOf>
+  std::pair<NodeId, Time> pick_pair(StartOf start_of) const {
+    const bool etf = spec_.ready == ParamReady::kPairEtf;
+    NodeId best_n = kNoNode;
+    Time best_t = 0;
+    Time best_dl = 0;
+    for (NodeId m : ready_.ready()) {
+      const Time t = start_of(m);
+      if (etf) {
+        // Globally earliest start; ties -> higher metric priority.
+        if (best_n == kNoNode || t < best_t ||
+            (t == best_t && ps_.rank[m] < ps_.rank[best_n])) {
+          best_n = m;
+          best_t = t;
+        }
+      } else {
+        // Largest dynamic level key - EST; ties -> earlier start, then
+        // smaller node id (the original DLS tie chain).
+        const Time dl = ps_.key[m] - t;
+        if (best_n == kNoNode || dl > best_dl ||
+            (dl == best_dl && (t < best_t || (t == best_t && m < best_n)))) {
+          best_n = m;
+          best_t = t;
+          best_dl = dl;
+        }
+      }
+    }
+    return {best_n, best_t};
+  }
+
   void run_pair_selector() {
     IncrementalPairSelector sel(sched_, scanner_, fit_, ws_.pair_scratch());
     for (NodeId n : ready_.ready()) sel.node_ready(n);
-    const bool etf = spec_.ready == ParamReady::kPairEtf;
     while (!ready_.empty()) {
       ws_.deadline().poll();
-      NodeId best_n = kNoNode;
-      Time best_t = 0;
-      Time best_dl = 0;
-      for (NodeId m : ready_.ready()) {
-        const Time t = sel.best(m).start;
-        if (etf) {
-          // Globally earliest start; ties -> higher metric priority.
-          if (best_n == kNoNode || t < best_t ||
-              (t == best_t && ps_.rank[m] < ps_.rank[best_n])) {
-            best_n = m;
-            best_t = t;
-          }
-        } else {
-          // Largest dynamic level key - EST; ties -> earlier start, then
-          // smaller node id (the original DLS tie chain).
-          const Time dl = ps_.key[m] - t;
-          if (best_n == kNoNode || dl > best_dl ||
-              (dl == best_dl &&
-               (t < best_t || (t == best_t && m < best_n)))) {
-            best_n = m;
-            best_t = t;
-            best_dl = dl;
-          }
-        }
-      }
-      place(best_n, sel.best(best_n).proc, best_t, &sel, false);
+      const auto [n, t] =
+          pick_pair([&](NodeId m) { return sel.best(m).start; });
+      place(n, sel.best(n).proc, t, &sel, false);
     }
   }
 
@@ -156,32 +165,11 @@ class ListPhase {
   // of EST on each node's forced processor (the selector's invariant
   // assumes free processor choice, so it does not apply here).
   void run_pair_clustered() {
-    const bool etf = spec_.ready == ParamReady::kPairEtf;
     while (!ready_.empty()) {
       ws_.deadline().poll();
-      NodeId best_n = kNoNode;
-      Time best_t = 0;
-      Time best_dl = 0;
-      for (NodeId m : ready_.ready()) {
-        const Time t = sched_.est(m, ps_.assign[m], fit_);
-        if (etf) {
-          if (best_n == kNoNode || t < best_t ||
-              (t == best_t && ps_.rank[m] < ps_.rank[best_n])) {
-            best_n = m;
-            best_t = t;
-          }
-        } else {
-          const Time dl = ps_.key[m] - t;
-          if (best_n == kNoNode || dl > best_dl ||
-              (dl == best_dl &&
-               (t < best_t || (t == best_t && m < best_n)))) {
-            best_n = m;
-            best_t = t;
-            best_dl = dl;
-          }
-        }
-      }
-      place(best_n, ps_.assign[best_n], best_t, nullptr, false);
+      const auto [n, t] = pick_pair(
+          [&](NodeId m) { return sched_.est(m, ps_.assign[m], fit_); });
+      place(n, ps_.assign[n], t, nullptr, false);
     }
   }
 
@@ -399,29 +387,23 @@ Schedule ParamScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   ParamScratch& ps = ws.param_scratch();
   compute_param_metric(spec_.metric, ws.attrs(), ps);
 
-  if (spec_.cluster != ParamCluster::kNone) {
-    switch (spec_.cluster) {
-      case ParamCluster::kEz:
-        ps.assign = ez_clusters(g, &ws.deadline());
-        break;
-      case ParamCluster::kLc:
-        ps.assign = lc_clusters(g);
-        break;
-      case ParamCluster::kDsc:
-        ps.assign = dsc_clusters(g);
-        break;
-      case ParamCluster::kNone:
-        break;
-    }
-    if (opt.num_procs > 0) {
-      // The UNC cores ignore machine bounds; honor them by folding the
-      // clusters LPT-style (Yang's RCP rule) when there are too many.
-      ProcId max_c = 0;
-      for (ProcId c : ps.assign) max_c = std::max(max_c, c);
-      if (max_c + 1 > opt.num_procs)
-        ps.assign = rcp_cluster_assignment(g, ps.assign, opt.num_procs);
-    }
+  switch (spec_.cluster) {
+    case ParamCluster::kNone:
+      break;
+    case ParamCluster::kEz:
+      ps.assign = ez_clusters(g, &ws.deadline());
+      break;
+    case ParamCluster::kLc:
+      ps.assign = lc_clusters(g, &ws.deadline());
+      break;
+    case ParamCluster::kDsc:
+      ps.assign = dsc_clusters(g, ws);
+      break;
   }
+  // The UNC cores ignore machine bounds; honor them by folding the
+  // clusters when there are too many.
+  if (spec_.cluster != ParamCluster::kNone)
+    ps.assign = fit_clusters(g, std::move(ps.assign), opt.num_procs);
 
   ListPhase phase(spec_, g, opt, ws, ps);
   return phase.run();

@@ -133,9 +133,10 @@ class SchedWorkspace {
   /// ParamScheduler per run.
   ParamScratch& param_scratch() { return *param_; }
 
-  /// Cooperative per-request deadline polled by ParamScheduler and the
-  /// APN inner loops. Survives begin_graph() untouched: arming is the
-  /// caller's per-request decision, not per-graph state.
+  /// Cooperative per-request deadline polled once per step by every
+  /// scheduler (list and cluster passes, APN inner loops). Survives
+  /// begin_graph() untouched: arming is the caller's per-request
+  /// decision, not per-graph state.
   RunDeadline& deadline() { return deadline_; }
 
  private:

@@ -3,9 +3,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "tgs/sched/schedule.h"
-#include "tgs/unc/dsc.h"
-
 namespace tgs {
 
 DisjointSets::DisjointSets(std::size_t n) : parent_(n) {
@@ -42,13 +39,14 @@ std::size_t DisjointSets::num_sets() const {
 }
 
 std::vector<ProcId> dense_assignment(const DisjointSets& ds) {
-  std::vector<NodeId> labels(ds.size());
-  for (NodeId i = 0; i < ds.size(); ++i) labels[i] = ds.find(i);
+  std::vector<ProcId> labels(ds.size());
+  for (NodeId i = 0; i < ds.size(); ++i)
+    labels[i] = static_cast<ProcId>(ds.find(i));
   return densify(labels);
 }
 
-std::vector<ProcId> densify(const std::vector<NodeId>& labels) {
-  std::unordered_map<NodeId, ProcId> remap;
+std::vector<ProcId> densify(const std::vector<ProcId>& labels) {
+  std::unordered_map<ProcId, ProcId> remap;
   std::vector<ProcId> out(labels.size());
   ProcId next = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -57,16 +55,6 @@ std::vector<ProcId> densify(const std::vector<NodeId>& labels) {
     out[i] = it->second;
   }
   return out;
-}
-
-std::vector<ProcId> dsc_clusters(const TaskGraph& g) {
-  // DSC assigns start times while it clusters; the schedule IS the
-  // clustering. Run it and keep only the processor (= cluster) labels.
-  const Schedule s = DscScheduler().run(g, {});
-  std::vector<NodeId> labels(g.num_nodes());
-  for (NodeId n = 0; n < g.num_nodes(); ++n)
-    labels[n] = static_cast<NodeId>(s.proc(n));
-  return densify(labels);
 }
 
 }  // namespace tgs

@@ -14,6 +14,7 @@
 namespace tgs {
 
 class RunDeadline;
+class SchedWorkspace;
 class TaskGraph;
 
 class DisjointSets {
@@ -51,7 +52,7 @@ std::vector<ProcId> dense_assignment(const DisjointSets& ds);
 
 /// Dense renumbering of an arbitrary assignment vector (cluster labels of
 /// any kind -> 0-based processor ids ordered by first appearance).
-std::vector<ProcId> densify(const std::vector<NodeId>& labels);
+std::vector<ProcId> densify(const std::vector<ProcId>& labels);
 
 // The clustering cores of the UNC algorithms, returning the dense
 // node -> cluster assignment without materializing a Schedule. These are
@@ -60,15 +61,18 @@ std::vector<ProcId> densify(const std::vector<NodeId>& labels);
 // bl/static/append/{ez,lc} built on the first two.
 //   ez_clusters  -- Sarkar edge zeroing (unc/ez.cpp)
 //   lc_clusters  -- Kim-Browne linear path peeling (unc/lc.cpp)
-//   dsc_clusters -- clusters of a full DSC run (unc/dsc.cpp), densified;
+//   dsc_clusters -- the clusters of DSC's core (unc/dsc.cpp), densified;
 //                   DSC's interleaved start-time assignment cannot be
 //                   replayed by a generic list phase, so only its cluster
 //                   map is reused (docs/parameterized.md).
-// ez_clusters polls `deadline` (if given) once per tentative merge and
-// throws DeadlineExceeded when it has passed.
+// ez_clusters and lc_clusters poll `deadline` (if given) once per
+// tentative merge or peeled path, and dsc_clusters polls ws.deadline()
+// once per clustered node; each throws DeadlineExceeded when it has
+// passed. `ws` must be bound to `g` (SchedWorkspace::begin_graph).
 std::vector<ProcId> ez_clusters(const TaskGraph& g,
                                 RunDeadline* deadline = nullptr);
-std::vector<ProcId> lc_clusters(const TaskGraph& g);
-std::vector<ProcId> dsc_clusters(const TaskGraph& g);
+std::vector<ProcId> lc_clusters(const TaskGraph& g,
+                                RunDeadline* deadline = nullptr);
+std::vector<ProcId> dsc_clusters(const TaskGraph& g, SchedWorkspace& ws);
 
 }  // namespace tgs

@@ -42,7 +42,6 @@ void comm_b_levels(const TaskGraph& g, std::vector<Time>& b) {
 
 Schedule DcpScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                               SchedWorkspace& ws) const {
-  (void)ws;
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
   ReadyList ready(g);
@@ -52,6 +51,7 @@ Schedule DcpScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   comm_b_levels(g, bl);  // invariant under our pinning scheme
 
   while (!ready.empty()) {
+    ws.deadline().poll();
     pinned_aest(g, sched, aest);
     Time cpl = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u)

@@ -16,6 +16,12 @@
 // O((v + e) log v) flavour while simplifying cluster bookkeeping; the
 // qualitative results of the paper (DSC close to DCP, far better than
 // EZ/LC) are preserved.
+//
+// Bounded machine: when SchedOptions::num_procs is set and DSC opens more
+// clusters than that, the clusters are folded onto the processors by
+// fit_clusters (map/cluster_map.h) and list-scheduled in b-level order --
+// the same result as param:bl/static/append/dsc. Clusters that fit keep
+// DSC's own placements.
 #pragma once
 
 #include "tgs/sched/scheduler.h"

@@ -7,7 +7,7 @@
 // cluster_schedule.h) does not increase. Complexity O(e (v + e)) in the
 // worst case: one evaluation per edge, each stopped early (exactly) once
 // the partial schedule provably exceeds the best makespan so far
-// (unc/ez.cpp).
+// (ClusterEvaluator, unc/cluster_schedule.h).
 //
 // Expressed as the parameter point bl/static/append/ez of the
 // ParamScheduler core: the edge-zeroing pass (ez_clusters, unc/ez.cpp)

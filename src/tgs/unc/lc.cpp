@@ -4,17 +4,19 @@
 #include <vector>
 
 #include "tgs/graph/task_graph.h"
+#include "tgs/sched/workspace.h"
 #include "tgs/unc/clustering.h"
 
 namespace tgs {
 
-std::vector<ProcId> lc_clusters(const TaskGraph& g) {
+std::vector<ProcId> lc_clusters(const TaskGraph& g, RunDeadline* deadline) {
   const NodeId n = g.num_nodes();
   std::vector<bool> examined(n, false);
   DisjointSets ds(n);
 
   std::size_t remaining = n;
   while (remaining > 0) {
+    if (deadline) deadline->poll();
     // Longest (node+edge)-weight path over unexamined nodes. down[u] =
     // weight of the heaviest unexamined path starting at u; next[u] = the
     // successor realizing it (ties -> smallest id, via sorted children).

@@ -47,7 +47,6 @@ void full_b_levels(const TaskGraph& g, std::vector<Time>& b) {
 
 Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                              SchedWorkspace& ws) const {
-  (void)ws;
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
   ProcScanner scanner(limit);
@@ -57,6 +56,7 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   full_b_levels(g, b);  // static under our estimate; computed once
 
   while (!ready.empty()) {
+    ws.deadline().poll();
     pinned_t_levels(g, sched, t);
     Time L = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u) L = std::max(L, t[u] + b[u]);

@@ -1,7 +1,9 @@
 // Frozen pre-refactor bodies of the named list schedulers that became
 // parameter points of the ParamScheduler core (src/tgs/param/): HLFET,
 // ISH, MCP (bnp/) and EZ, LC (unc/), as they stood at PR 7 when each was
-// a standalone do_run. The property tests (test_param.cpp) require the
+// a standalone do_run. Also frozen: the full cluster-schedule walk they
+// and Sarkar's cluster mapping evaluated trials with, and that mapping
+// itself (original_sarkar, checked by test_map.cpp). The property tests (test_param.cpp) require the
 // param re-expressions to reproduce these schedules byte-for-byte -- the
 // same contract reference_schedulers.h enforces for the incremental
 // ETF/DLS (whose pre-refactor selection loops naive_etf/naive_dls already
@@ -115,6 +117,39 @@ inline Schedule original_mcp(const TaskGraph& g, const SchedOptions& opt) {
   return sched;
 }
 
+/// The cluster-schedule walk (unc/cluster_schedule) as it stood before
+/// ClusterEvaluator replaced it: a full append-only b-level-order
+/// traversal with caller-owned scratch, no early rejection. original_ez
+/// and original_sarkar evaluate every trial with it.
+inline Time original_assignment_makespan(const TaskGraph& g,
+                                         const std::vector<ProcId>& assign,
+                                         const std::vector<NodeId>& order,
+                                         std::vector<Time>& start_scratch,
+                                         std::vector<Time>& avail_scratch) {
+  // Append-only traversal in the given topological order; per-processor
+  // available time suffices, no Timeline objects needed. Scratch buffers
+  // avoid reallocation in hot loops.
+  ProcId max_proc = 0;
+  for (ProcId p : assign) max_proc = std::max(max_proc, p);
+  avail_scratch.assign(static_cast<std::size_t>(max_proc) + 1, 0);
+  start_scratch.assign(g.num_nodes(), 0);
+  Time makespan = 0;
+
+  for (NodeId n : order) {
+    const ProcId p = assign[n];
+    Time ready = 0;
+    for (const Adj& par : g.parents(n)) {
+      const Time ft = start_scratch[par.node] + g.weight(par.node);
+      ready = std::max(ready, assign[par.node] == p ? ft : ft + par.cost);
+    }
+    const Time st = std::max(ready, avail_scratch[p]);
+    start_scratch[n] = st;
+    avail_scratch[p] = st + g.weight(n);
+    makespan = std::max(makespan, avail_scratch[p]);
+  }
+  return makespan;
+}
+
 /// EZ: Sarkar edge zeroing (merge committed iff the evaluated makespan
 /// does not grow), materialized by the deterministic cluster schedule.
 inline Schedule original_ez(const TaskGraph& g) {
@@ -136,16 +171,16 @@ inline Schedule original_ez(const TaskGraph& g) {
   std::vector<Time> start_scratch, avail_scratch;
 
   std::vector<ProcId> assign = dense_assignment(ds);
-  Time best =
-      assignment_makespan(g, assign, order, start_scratch, avail_scratch);
+  Time best = original_assignment_makespan(g, assign, order, start_scratch,
+                                           avail_scratch);
 
   for (const EdgeRef& e : edges) {
     if (ds.same(e.u, e.v)) continue;
     auto snap = ds.snapshot();
     ds.merge(e.u, e.v);
     assign = dense_assignment(ds);
-    const Time len =
-        assignment_makespan(g, assign, order, start_scratch, avail_scratch);
+    const Time len = original_assignment_makespan(g, assign, order,
+                                                  start_scratch, avail_scratch);
     if (len <= best) {
       best = len;
     } else {
@@ -201,6 +236,74 @@ inline Schedule original_lc(const TaskGraph& g) {
   }
 
   return schedule_with_assignment(g, dense_assignment(ds));
+}
+
+/// Sarkar's cluster mapping (map/cluster_map.cpp) as it stood before
+/// ClusterEvaluator: clusters in descending total-work order, each
+/// committed to the processor whose full trial evaluation is shortest.
+struct OriginalClusterInfo {
+  ProcId id;
+  Cost work;
+  std::vector<NodeId> members;
+};
+
+inline std::vector<OriginalClusterInfo> original_collect_clusters(
+    const TaskGraph& g, const std::vector<ProcId>& clusters) {
+  ProcId max_c = 0;
+  for (ProcId c : clusters) max_c = std::max(max_c, c);
+  std::vector<OriginalClusterInfo> info(static_cast<std::size_t>(max_c) + 1);
+  for (ProcId c = 0; c <= max_c; ++c) info[c].id = c;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    info[clusters[n]].work += g.weight(n);
+    info[clusters[n]].members.push_back(n);
+  }
+  // Drop empty labels, sort by descending work (ties: smaller cluster id).
+  std::erase_if(info,
+                [](const OriginalClusterInfo& c) { return c.members.empty(); });
+  std::sort(info.begin(), info.end(),
+            [](const OriginalClusterInfo& a, const OriginalClusterInfo& b) {
+              if (a.work != b.work) return a.work > b.work;
+              return a.id < b.id;
+            });
+  return info;
+}
+
+inline Schedule original_sarkar(const TaskGraph& g,
+                                const std::vector<ProcId>& clusters,
+                                int num_procs) {
+  const auto info = original_collect_clusters(g, clusters);
+  const std::vector<NodeId> order = blevel_order(g);
+  std::vector<Time> start_scratch, avail_scratch;
+
+  // assign[n] = physical processor; nodes of unassigned clusters are parked
+  // on a virtual processor so that partial evaluations stay comparable.
+  std::vector<ProcId> assign(g.num_nodes(), 0);
+
+  // Greedy commit, considering execution order: evaluate the ordered
+  // schedule of everything assigned so far plus the candidate cluster on
+  // each processor. Unassigned clusters are evaluated on private virtual
+  // processors (num_procs + k), approximating their future parallelism.
+  {
+    // Initial: every cluster on its own virtual processor.
+    for (std::size_t k = 0; k < info.size(); ++k)
+      for (NodeId n : info[k].members)
+        assign[n] = static_cast<ProcId>(num_procs + static_cast<int>(k));
+  }
+  for (std::size_t k = 0; k < info.size(); ++k) {
+    ProcId best_p = 0;
+    Time best_len = kTimeInf;
+    for (ProcId p = 0; p < num_procs; ++p) {
+      for (NodeId n : info[k].members) assign[n] = p;
+      const Time len = original_assignment_makespan(g, assign, order,
+                                                    start_scratch, avail_scratch);
+      if (len < best_len) {
+        best_len = len;
+        best_p = p;
+      }
+    }
+    for (NodeId n : info[k].members) assign[n] = best_p;
+  }
+  return schedule_with_assignment(g, assign);
 }
 
 }  // namespace tgs::reference

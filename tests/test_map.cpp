@@ -1,10 +1,12 @@
 // Tests for map/cluster_map.h (UNC + cluster-scheduling extension).
 #include <gtest/gtest.h>
 
+#include "reference_named.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/harness/registry.h"
 #include "tgs/map/cluster_map.h"
+#include "tgs/sched/schedule_io.h"
 #include "tgs/sched/validate.h"
 #include "tgs/unc/dsc.h"
 
@@ -88,6 +90,30 @@ TEST(ClusterMap, ManyProcsKeepsUncShapeValid) {
   const int k = unc.procs_used();
   const Schedule s = map_clusters_sarkar(g, clusters_of(unc), k);
   EXPECT_TRUE(validate_schedule(s, k).ok);
+}
+
+TEST(ClusterMap, SarkarMatchesFrozenOriginal) {
+  // ClusterEvaluator's early rejection (bound = best - 1) must leave every
+  // placement decision of the full-walk original unchanged.
+  for (NodeId v : {50u, 120u, 300u}) {
+    for (double ccr : {0.1, 1.0, 10.0}) {
+      RgnosParams p;
+      p.num_nodes = v;
+      p.ccr = ccr;
+      p.parallelism = 3;
+      p.seed = 40 + v;
+      const TaskGraph g = rgnos_graph(p);
+      for (const char* algo : {"DSC", "DCP", "EZ"}) {
+        const auto clusters = clusters_of(make_scheduler(algo)->run(g, {}));
+        for (int k : {2, 4, 8}) {
+          EXPECT_EQ(schedule_to_string(map_clusters_sarkar(g, clusters, k)),
+                    schedule_to_string(
+                        reference::original_sarkar(g, clusters, k)))
+              << algo << " v=" << v << " ccr=" << ccr << " p=" << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -58,9 +58,6 @@ TEST_P(SchedulerProperty, RespectsProcessorBound) {
   const auto& [name, seed, ccr] = GetParam();
   const TaskGraph g = graph_for(seed ^ 0x5A5A, ccr, 4);
   const auto algo = make_scheduler(name);
-  if (algo->algo_class() == AlgoClass::kUNC) {
-    GTEST_SKIP() << "UNC algorithms are unbounded by definition";
-  }
   SchedOptions opt;
   opt.num_procs = 3;
   const Schedule s = algo->run(g, opt);

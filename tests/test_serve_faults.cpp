@@ -304,21 +304,33 @@ TEST(Journal, Crc32MatchesKnownVector) {
 // ----------------------------------------------- cooperative cancellation --
 
 TEST(Deadline, ExpiredDeadlineCancelsParamSchedulerRun) {
+  // Every BNP/UNC scheduler and the clustered parameter points poll the
+  // deadline, bounded or not: an expired deadline cancels the run.
   const TaskGraph g = random_graph(3, 80);
-  const SchedulerPtr algo = make_scheduler("MCP");
-  SchedWorkspace ws;
-  ws.begin_graph(g);
-  ws.deadline().arm(std::chrono::steady_clock::now() -
-                    std::chrono::milliseconds(1));
-  EXPECT_THROW(algo->run(g, SchedOptions{}, ws), DeadlineExceeded);
-  ws.deadline().disarm();
+  for (const char* name :
+       {"HLFET", "ISH", "MCP", "ETF", "DLS", "LAST", "EZ", "LC", "DSC", "MD",
+        "DCP", "param:bl/static/append/lc", "param:bl/static/append/dsc"}) {
+    const SchedulerPtr algo = make_scheduler(name);
+    for (int procs : {0, 4}) {
+      SchedOptions opt;
+      opt.num_procs = procs;
+      SchedWorkspace ws;
+      ws.begin_graph(g);
+      ws.deadline().arm(std::chrono::steady_clock::now() -
+                        std::chrono::milliseconds(1));
+      EXPECT_THROW(algo->run(g, opt, ws), DeadlineExceeded)
+          << name << " procs=" << procs;
+      ws.deadline().disarm();
 
-  // The workspace survived the unwind: the very next run on it is
-  // byte-identical to a fresh-workspace run.
-  ws.begin_graph(g);
-  const Schedule reused = algo->run(g, SchedOptions{}, ws);
-  const Schedule fresh = algo->run(g, SchedOptions{});
-  EXPECT_EQ(schedule_to_string(reused), schedule_to_string(fresh));
+      // The workspace survived the unwind: the very next run on it is
+      // byte-identical to a fresh-workspace run.
+      ws.begin_graph(g);
+      const Schedule reused = algo->run(g, opt, ws);
+      const Schedule fresh = algo->run(g, opt);
+      EXPECT_EQ(schedule_to_string(reused), schedule_to_string(fresh))
+          << name << " procs=" << procs;
+    }
+  }
 }
 
 TEST(Deadline, ExpiredDeadlineCancelsEveryApnScheduler) {
@@ -359,6 +371,18 @@ TEST(Deadline, ExpiredDeadlineCancelsEzClusterPass) {
   const Schedule reused = algo->run(g, SchedOptions{}, ws);
   const Schedule fresh = algo->run(g, SchedOptions{});
   EXPECT_EQ(schedule_to_string(reused), schedule_to_string(fresh));
+}
+
+TEST(Deadline, ExpiredDeadlineCancelsLcClusterPass) {
+  // The path-peeling pass, like edge zeroing, runs before any list phase
+  // and polls the deadline once per peeled path.
+  const TaskGraph g = random_graph(11, 80);
+  RunDeadline deadline;
+  deadline.arm(std::chrono::steady_clock::now() -
+               std::chrono::milliseconds(1));
+  EXPECT_THROW(lc_clusters(g, &deadline), DeadlineExceeded);
+  deadline.disarm();
+  EXPECT_EQ(lc_clusters(g, &deadline), lc_clusters(g));
 }
 
 TEST(Deadline, UnarmedDeadlineNeverFires) {

@@ -1,12 +1,18 @@
 // Tests for the five UNC algorithms and the clustering substrate.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
+#include "reference_named.h"
 #include "tgs/gen/psg.h"
+#include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/harness/registry.h"
 #include "tgs/sched/metrics.h"
+#include "tgs/sched/schedule_io.h"
 #include "tgs/sched/validate.h"
 #include "tgs/unc/cluster_schedule.h"
 #include "tgs/unc/clustering.h"
@@ -67,6 +73,81 @@ TEST(ClusterSchedule, BlevelOrderIsTopological) {
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   for (NodeId u = 0; u < g.num_nodes(); ++u)
     for (const Adj& c : g.children(u)) EXPECT_LT(pos[u], pos[c.node]);
+}
+
+TEST(ClusterSchedule, EvaluatorMatchesFullWalkUnderAnyBound) {
+  // One evaluator reused across random assignments: exact whenever the
+  // makespan is within the bound, above the bound otherwise, and never
+  // disturbed by an earlier early-stopped walk.
+  RgnosParams p;
+  p.num_nodes = 70;
+  p.ccr = 5.0;
+  p.seed = 9;
+  const TaskGraph g = rgnos_graph(p);
+  const std::vector<NodeId> order = blevel_order(g);
+  std::vector<Time> start_scratch, avail_scratch;
+  constexpr int kLabels = 6;
+  ClusterEvaluator eval(g, kLabels);
+  std::mt19937 rng(3);
+  std::vector<ProcId> assign(g.num_nodes());
+  for (int trial = 0; trial < 200; ++trial) {
+    for (ProcId& a : assign) a = static_cast<ProcId>(rng() % kLabels);
+    const Time exact = reference::original_assignment_makespan(
+        g, assign, order, start_scratch, avail_scratch);
+    EXPECT_EQ(eval.makespan(assign), exact);
+    EXPECT_EQ(eval.makespan(assign, exact), exact);
+    EXPECT_GT(eval.makespan(assign, exact - 1), exact - 1);
+    const Time low = static_cast<Time>(rng() % static_cast<unsigned>(exact));
+    EXPECT_GT(eval.makespan(assign, low), low);
+    EXPECT_EQ(assignment_makespan(g, assign), exact);
+  }
+}
+
+TEST(BoundedMachine, EverySchedulerHonoursProcs) {
+  // Every BNP/UNC scheduler and a sample of parameter points with each
+  // cluster step validate at their processor bound. Bounded DSC keeps
+  // its own placements when its clusters fit and otherwise folds them
+  // exactly like param:bl/static/append/dsc.
+  std::vector<TaskGraph> graphs;
+  graphs.push_back(chain_graph(6, 10, 20));  // DSC: one cluster, always fits
+  for (double ccr : {0.1, 1.0, 10.0}) {
+    RgnosParams p;
+    p.num_nodes = 60;
+    p.ccr = ccr;
+    p.parallelism = 3;
+    p.seed = 17;
+    graphs.push_back(rgnos_graph(p));
+    graphs.push_back(rgbos_graph(ccr, 16, 5));
+  }
+  std::vector<SchedulerPtr> algos = make_unc_and_bnp_schedulers();
+  for (const char* spec :
+       {"param:bl/static/append/ez", "param:cp/etf/insert/ez",
+        "param:tl/dls/hole/lc", "param:sl/dynamic/append/lc",
+        "param:alap/static/insert/dsc", "param:bl/etf/append/dsc"})
+    algos.push_back(make_scheduler(spec));
+  const SchedulerPtr dsc_point = make_scheduler("param:bl/static/append/dsc");
+
+  int kept = 0, folded = 0;
+  for (const TaskGraph& g : graphs) {
+    const Schedule dsc_unbounded = DscScheduler().run(g, {});
+    for (int procs : {1, 2, 4}) {
+      SchedOptions opt;
+      opt.num_procs = procs;
+      for (const SchedulerPtr& algo : algos) {
+        const Schedule s = algo->run(g, opt);
+        const auto v = validate_schedule(s, procs);
+        EXPECT_TRUE(v.ok) << algo->name() << " on " << g.name()
+                          << " procs=" << procs << ": " << v.error;
+      }
+      const bool fits = dsc_unbounded.procs_used() <= procs;
+      (fits ? kept : folded)++;
+      EXPECT_EQ(schedule_to_string(DscScheduler().run(g, opt)),
+                schedule_to_string(fits ? dsc_unbounded : dsc_point->run(g, opt)))
+          << g.name() << " procs=" << procs;
+    }
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(folded, 0);
 }
 
 std::vector<TaskGraph> unc_zoo() {
