@@ -3,8 +3,9 @@
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
 // kept in tests/reference_schedulers.h (BM_Ez_Original likewise runs the
-// frozen EZ of tests/reference_named.h, BM_Graph_Parse_Reference the
-// frozen tgs1 reader of tests/reference_graph_io.h), so the
+// frozen EZ of tests/reference_named.h, BM_Graph_Parse_Reference and
+// BM_Request_Ingress_Reference the frozen tgs1 reader and JSON parser of
+// tests/reference_graph_io.h), so the
 // incremental-vs-naive speedup of one build is measured inside one
 // binary; the committed
 // BENCH_schedulers.json at the repo root is the baseline CI compares
@@ -15,6 +16,7 @@
 //                    --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "reference_graph_io.h"
@@ -29,16 +31,19 @@
 #include "tgs/bnp/hlfet.h"
 #include "tgs/bnp/ish.h"
 #include "tgs/bnp/mcp.h"
+#include "tgs/exec/jsonl.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/gen/traced.h"
 #include "tgs/graph/attributes.h"
+#include "tgs/graph/fingerprint.h"
 #include "tgs/graph/graph_io.h"
 #include "tgs/list/ready_list.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/serve/protocol.h"
 #include "tgs/unc/ez.h"
 #include "tgs/util/mem.h"
 
@@ -424,6 +429,42 @@ void BM_Graph_Parse_Reference(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_Graph_Parse_Reference)->Arg(500);
+
+/// One schedule request line carrying the RGNOS graph of size v.
+std::string request_line(NodeId v) {
+  JsonObject o;
+  o.add("id", "r1").add("op", "schedule").add("algo", "MCP");
+  o.add_int("procs", 4).add("graph", graph_to_string(bench_graph(v)));
+  return o.str();
+}
+
+// The daemon's whole ingress for one request: the JSON line to a request,
+// its graph text to a TaskGraph, the graph to its cache-key fingerprint.
+// BM_Request_Ingress_Reference runs the frozen JSON parser and tgs1
+// reader of tests/reference_graph_io.h on the same line.
+void BM_Request_Ingress(benchmark::State& state) {
+  const std::string line = request_line(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state) {
+    const ServeRequest req = parse_request(line);
+    const TaskGraph g = graph_from_string(req.graph_text);
+    benchmark::DoNotOptimize(graph_fingerprint(g).hex());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_Request_Ingress)->Arg(500);
+
+void BM_Request_Ingress_Reference(benchmark::State& state) {
+  const std::string line = request_line(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state) {
+    const reference::JsonNode doc = reference::json_parse(line);
+    benchmark::DoNotOptimize(
+        reference::graph_from_string(doc.obj.at("graph").str).num_edges);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_Request_Ingress_Reference)->Arg(500);
 
 }  // namespace
 }  // namespace tgs

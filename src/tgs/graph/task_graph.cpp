@@ -1,8 +1,12 @@
 #include "tgs/graph/task_graph.h"
 
 #include <algorithm>
+#include <charconv>
+#include <functional>
+#include <iterator>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace tgs {
 
@@ -36,98 +40,97 @@ TaskGraphBuilder::TaskGraphBuilder(std::string name) : name_(std::move(name)) {}
 void TaskGraphBuilder::reserve(std::size_t nodes, std::size_t edges) {
   weights_.reserve(nodes);
   labels_.reserve(nodes);
-  edges_.reserve(edges);
+  succ_off_.reserve(nodes + 2);
+  pred_off_.reserve(nodes + 2);
+  sources_.reserve(edges);
+  targets_.reserve(edges);
 }
 
-NodeId TaskGraphBuilder::add_node(Cost weight, std::string label) {
-  if (weight <= 0) throw std::invalid_argument("node weight must be positive");
-  const NodeId id = static_cast<NodeId>(weights_.size());
-  weights_.push_back(weight);
-  if (!label.empty()) any_label_ = true;
-  labels_.push_back(std::move(label));
-  return id;
-}
-
-void TaskGraphBuilder::add_edge(NodeId u, NodeId v, Cost cost) {
-  if (u >= weights_.size() || v >= weights_.size())
-    throw std::invalid_argument("edge endpoint out of range");
-  if (u == v) throw std::invalid_argument("self loop");
-  if (cost < 0) throw std::invalid_argument("edge cost must be >= 0");
-  edges_.push_back({u, v, cost});
+void TaskGraphBuilder::reject(const char* what) {
+  throw std::invalid_argument(what);
 }
 
 TaskGraph TaskGraphBuilder::finalize() {
-  const NodeId n = static_cast<NodeId>(weights_.size());
+  // Take the builder's state first: it is left empty even if a check
+  // below throws.
+  const NodeId n = num_nodes();
+  const std::vector<NodeId> sources = std::exchange(sources_, {});
+  const std::size_t m = sources.size();
+  const Cost weight_total = std::exchange(weight_total_, 0);
+  const Cost edge_total = std::exchange(edge_total_, 0);
   TaskGraph g;
   g.name_ = std::move(name_);
-  g.weights_ = std::move(weights_);
-  if (any_label_) {
-    g.labels_ = std::move(labels_);
-    for (NodeId i = 0; i < n; ++i)
-      if (g.labels_[i].empty()) g.labels_[i] = "n" + std::to_string(i + 1);
+  g.weights_ = std::exchange(weights_, {});
+  if (std::exchange(any_label_, false)) {
+    g.labels_ = std::exchange(labels_, {});
+    for (NodeId i = 0; i < n; ++i) {
+      if (!g.labels_[i].empty()) continue;
+      char buf[16] = {'n'};
+      char* const end = std::to_chars(buf + 1, std::end(buf), i + 1).ptr;
+      g.labels_[i].assign(buf, end);
+    }
   }
+  labels_.clear();
 
-  // CSR by counting: bucket the edges by u (insertion order), order each
-  // child list by v, then walk the child lists in u order so every parent
-  // list comes out sorted by u as well.
-  const std::size_t m = edges_.size();
-  g.succ_off_.assign(n + 1, 0);
-  g.pred_off_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++g.succ_off_[e.u + 1];
-    ++g.pred_off_[e.v + 1];
-  }
+  // CSR by counting sort. add_edge counted node i's degrees at [i + 2]; a
+  // prefix sum turns [i + 1] into the start of i's range (reading off the
+  // entries, the exits and Kahn's in-degrees on the way), and the scatter
+  // advances [u + 1] to the end of u's range, which is the start of
+  // u + 1's. Edges are bucketed by u in insertion order, each child list
+  // is ordered by v, and walking the child lists in u order leaves every
+  // parent list sorted by u as well.
+  g.succ_off_ = std::exchange(succ_off_, {0, 0});
+  g.pred_off_ = std::exchange(pred_off_, {0, 0});
+  std::size_t* const so = g.succ_off_.data();
+  std::size_t* const po = g.pred_off_.data();
+  std::vector<NodeId> indeg(n);
   for (NodeId i = 0; i < n; ++i) {
-    g.succ_off_[i + 1] += g.succ_off_[i];
-    g.pred_off_[i + 1] += g.pred_off_[i];
+    if (po[i + 2] == 0) g.entries_.push_back(i);
+    if (so[i + 2] == 0) g.exits_.push_back(i);
+    indeg[i] = static_cast<NodeId>(po[i + 2]);
+    so[i + 2] += so[i + 1];
+    po[i + 2] += po[i + 1];
   }
+  g.succ_off_.pop_back();
+  g.pred_off_.pop_back();
+  // The edges' targets are scattered out of what becomes the parent
+  // array, which the walk below then overwrites slot by slot.
+  g.pred_ = std::exchange(targets_, {});
   g.succ_.resize(m);
-  g.pred_.resize(m);
-  std::vector<std::size_t> pos(g.succ_off_.begin(), g.succ_off_.end() - 1);
-  for (const Edge& e : edges_) g.succ_[pos[e.u]++] = {e.v, e.cost};
-  const auto by_node = [](const Adj& a, const Adj& b) {
-    return a.node < b.node;
-  };
+  for (std::size_t k = 0; k < m; ++k)
+    g.succ_[so[sources[k] + 1]++] = g.pred_[k];
   for (NodeId u = 0; u < n; ++u) {
-    const auto first = g.succ_.begin() + g.succ_off_[u];
-    const auto last = g.succ_.begin() + g.succ_off_[u + 1];
-    if (!std::is_sorted(first, last, by_node)) std::sort(first, last, by_node);
+    const auto first = g.succ_.begin() + so[u];
+    const auto last = g.succ_.begin() + so[u + 1];
+    // One pass finds an unsorted or repeated child; only then sort.
     if (std::adjacent_find(first, last, [](const Adj& a, const Adj& b) {
-          return a.node == b.node;
-        }) != last)
-      throw std::invalid_argument("duplicate edge");
+          return a.node >= b.node;
+        }) != last) {
+      std::sort(first, last,
+                [](const Adj& a, const Adj& b) { return a.node < b.node; });
+      if (std::adjacent_find(first, last, [](const Adj& a, const Adj& b) {
+            return a.node == b.node;
+          }) != last)
+        throw std::invalid_argument("duplicate edge");
+    }
+    for (auto c = first; c != last; ++c)
+      g.pred_[po[c->node + 1]++] = {u, c->cost};
   }
-  pos.assign(g.pred_off_.begin(), g.pred_off_.end() - 1);
-  for (NodeId u = 0; u < n; ++u)
-    for (const Adj& c : g.children(u)) g.pred_[pos[c.node]++] = {u, c.cost};
   g.num_edges_ = m;
 
-  // The cost domain (util/types.h): the running sum only grows, so a wrap
-  // or a step past the bound is caught at the addition that makes it.
-  Cost total = 0;
-  const auto add = [&total](Cost& subtotal, Cost x) {
-    if (__builtin_add_overflow(total, x, &total) || total > kMaxGraphCost)
-      throw std::invalid_argument(
-          "graph cost out of domain: total weight + total edge cost "
-          "exceeds 2^48");
-    subtotal += x;
-  };
-  for (Cost w : g.weights_) add(g.total_weight_, w);
-  for (const Adj& c : g.succ_) add(g.total_edge_cost_, c.cost);
-
-  // Entries / exits.
-  for (NodeId i = 0; i < n; ++i) {
-    if (g.num_parents(i) == 0) g.entries_.push_back(i);
-    if (g.num_children(i) == 0) g.exits_.push_back(i);
-  }
+  // The cost domain (util/types.h). add_node and add_edge summed the
+  // costs, each total held at kMaxGraphCost + 1 once past it.
+  if (weight_total + edge_total > kMaxGraphCost)
+    throw std::invalid_argument(
+        "graph cost out of domain: total weight + total edge cost "
+        "exceeds 2^48");
+  g.total_weight_ = weight_total;
+  g.total_edge_cost_ = edge_total;
 
   // Kahn topological sort with a min-id heap: deterministic order, cycle
   // detection.
-  std::vector<std::size_t> indeg(n);
-  for (NodeId i = 0; i < n; ++i) indeg[i] = g.num_parents(i);
-  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>> ready;
-  for (NodeId i = 0; i < n; ++i)
-    if (indeg[i] == 0) ready.push(i);
+  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>> ready(
+      std::greater<NodeId>(), g.entries_);
   g.topo_.reserve(n);
   while (!ready.empty()) {
     const NodeId u = ready.top();
@@ -137,10 +140,6 @@ TaskGraph TaskGraphBuilder::finalize() {
       if (--indeg[a.node] == 0) ready.push(a.node);
   }
   if (g.topo_.size() != n) throw std::invalid_argument("graph has a cycle");
-
-  edges_.clear();
-  labels_.clear();
-  any_label_ = false;
   return g;
 }
 

@@ -124,10 +124,30 @@ class TaskGraphBuilder {
   void reserve(std::size_t nodes, std::size_t edges);
 
   /// Adds a task; `label` is optional (empty = auto "n<i+1>").
-  NodeId add_node(Cost weight, std::string label = {});
+  NodeId add_node(Cost weight, std::string label = {}) {
+    if (weight <= 0) reject("node weight must be positive");
+    const NodeId id = num_nodes();
+    weights_.push_back(weight);
+    if (!label.empty()) any_label_ = true;
+    labels_.push_back(std::move(label));
+    succ_off_.push_back(0);
+    pred_off_.push_back(0);
+    weight_total_ = capped_add(weight_total_, weight);
+    return id;
+  }
 
   /// Adds a dependence u -> v with communication cost >= 0.
-  void add_edge(NodeId u, NodeId v, Cost cost);
+  void add_edge(NodeId u, NodeId v, Cost cost) {
+    if (u >= weights_.size() || v >= weights_.size())
+      reject("edge endpoint out of range");
+    if (u == v) reject("self loop");
+    if (cost < 0) reject("edge cost must be >= 0");
+    sources_.push_back(u);
+    targets_.push_back({v, cost});
+    ++succ_off_[u + 2];
+    ++pred_off_[v + 2];
+    edge_total_ = capped_add(edge_total_, cost);
+  }
 
   NodeId num_nodes() const { return static_cast<NodeId>(weights_.size()); }
 
@@ -135,14 +155,26 @@ class TaskGraphBuilder {
   TaskGraph finalize();
 
  private:
-  struct Edge {
-    NodeId u, v;
-    Cost cost;
-  };
+  [[noreturn]] static void reject(const char* what);
+
+  /// a + x for 0 <= x, held at kMaxGraphCost + 1 once past the cost domain
+  /// (a <= kMaxGraphCost + 1), so the running totals never wrap.
+  static Cost capped_add(Cost a, Cost x) {
+    return x > kMaxGraphCost - a ? kMaxGraphCost + 1 : a + x;
+  }
+
   std::string name_;
   std::vector<Cost> weights_;
   std::vector<std::string> labels_;
-  std::vector<Edge> edges_;
+  // Edge k is sources_[k] -> targets_[k].node; finalize reuses targets_'
+  // storage for the parent lists.
+  std::vector<NodeId> sources_;
+  std::vector<Adj> targets_;
+  // Out- and in-degree of node i at [i + 2], so that finalize's prefix sum
+  // and scatter leave the CSR offsets in [0, n] (counting sort, in place).
+  std::vector<std::size_t> succ_off_{0, 0}, pred_off_{0, 0};
+  Cost weight_total_ = 0;  // capped: see capped_add
+  Cost edge_total_ = 0;
   bool any_label_ = false;
 };
 

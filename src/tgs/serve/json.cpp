@@ -1,7 +1,11 @@
 #include "tgs/serve/json.h"
 
+#include <array>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 namespace tgs {
 
@@ -168,68 +172,137 @@ class JsonParser {
     }
   }
 
+  // A string is decoded in two steps. memchr finds its closing quote: the
+  // first '"' behind an even run of backslashes (or the end of the text).
+  // The decoded text is never longer than the raw, so `out` is sized to
+  // the raw span once, and plain runs are copied a word at a time: a word
+  // is stored whole and the write position advances past its plain bytes
+  // only, so a `\n` escape every ~16 bytes costs no append call. Errors
+  // are raised at the byte the per-byte scan would raise them at.
   std::string parse_string() {
     expect('"');
-    std::string out;
+    const char* const text = text_.data();
+    const std::size_t close = closing_quote(pos_);
+    std::string out(close - pos_, '\0');
+    char* const first = out.data();
+    char* dst = first;
+    // A local cursor: the stores through `dst` may alias pos_, so the
+    // loops below would otherwise reload it after every byte they write.
+    std::size_t at = pos_;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return out;
-      }
-      if (c < 0x20) fail("unescaped control character in string");
-      if (c != '\\') {
-        const std::size_t start = pos_;
-        while (++pos_ < text_.size()) {
-          const unsigned char d = static_cast<unsigned char>(text_[pos_]);
-          if (d == '"' || d == '\\' || d < 0x20) break;
+      while (at + 8 <= close) {
+        std::uint64_t w;
+        std::memcpy(&w, text + at, 8);
+        std::memcpy(dst, &w, 8);  // dst + 8 <= first + out.size()
+        const std::uint64_t special = special_bytes(w);
+        if (special == 0) {
+          at += 8;
+          dst += 8;
+          continue;
         }
-        out.append(text_, start, pos_ - start);
+        const std::size_t plain =
+            static_cast<std::size_t>(std::countr_zero(special)) / 8;
+        at += plain;
+        dst += plain;
+        break;
+      }
+      // The word loop stopped at a special byte or within 8 of `close`.
+      while (at < close && !is_special(text[at])) *dst++ = text[at++];
+      if (at == close) break;
+      pos_ = at;
+      if (static_cast<unsigned char>(text[at]) < 0x20)
+        fail("unescaped control character in string");
+      ++pos_;  // backslash
+      const char e = peek();
+      if (const char c = kUnescaped[static_cast<unsigned char>(e)]) {
+        *dst++ = c;
+        at = pos_ + 1;
         continue;
       }
-      ++pos_;  // backslash
-      switch (peek()) {
-        case '"': out.push_back('"'); ++pos_; break;
-        case '\\': out.push_back('\\'); ++pos_; break;
-        case '/': out.push_back('/'); ++pos_; break;
-        case 'b': out.push_back('\b'); ++pos_; break;
-        case 'f': out.push_back('\f'); ++pos_; break;
-        case 'n': out.push_back('\n'); ++pos_; break;
-        case 'r': out.push_back('\r'); ++pos_; break;
-        case 't': out.push_back('\t'); ++pos_; break;
-        case 'u': {
-          ++pos_;
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = peek();
-            unsigned d;
-            if (h >= '0' && h <= '9') d = static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') d = static_cast<unsigned>(h - 'a') + 10;
-            else if (h >= 'A' && h <= 'F') d = static_cast<unsigned>(h - 'A') + 10;
-            else fail("invalid \\u escape");
-            cp = cp * 16 + d;
-            ++pos_;
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("invalid escape");
+      if (e != 'u') fail("invalid escape");
+      ++pos_;
+      unsigned cp = 0;
+      for (int i = 0; i < 4; ++i) {
+        const char h = peek();
+        unsigned d;
+        if (h >= '0' && h <= '9') d = static_cast<unsigned>(h - '0');
+        else if (h >= 'a' && h <= 'f') d = static_cast<unsigned>(h - 'a') + 10;
+        else if (h >= 'A' && h <= 'F') d = static_cast<unsigned>(h - 'A') + 10;
+        else fail("invalid \\u escape");
+        cp = cp * 16 + d;
+        ++pos_;
       }
+      dst = put_utf8(dst, cp);  // at most 3 bytes for 6 raw ones
+      at = pos_;
     }
+    pos_ = at;
+    if (close == text_.size()) fail("unterminated string");
+    ++pos_;
+    out.resize(static_cast<std::size_t>(dst - first));
+    return out;
   }
 
-  static void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xc0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
-    } else {
-      out.push_back(static_cast<char>(0xe0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3f)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
+  /// The byte a one-letter escape stands for, indexed by the letter; 0 for
+  /// "\\u" and the letters that are no escape.
+  static constexpr std::array<char, 256> kUnescaped = [] {
+    std::array<char, 256> t{};
+    t['"'] = '"';
+    t['\\'] = '\\';
+    t['/'] = '/';
+    t['b'] = '\b';
+    t['f'] = '\f';
+    t['n'] = '\n';
+    t['r'] = '\r';
+    t['t'] = '\t';
+    return t;
+  }();
+
+  /// Offset of the '"' that ends the string body starting at `from`, or
+  /// the text's size when the string is unterminated. A '"' behind an odd
+  /// run of backslashes is escaped: the `\uXXXX` escape, the only one
+  /// longer than two bytes, cannot contain '"' or '\\' without failing
+  /// before the decoder reaches them.
+  std::size_t closing_quote(std::size_t from) const {
+    const char* const text = text_.data();
+    const std::size_t size = text_.size();
+    for (std::size_t at = from; at < size; ++at) {
+      const void* q = std::memchr(text + at, '"', size - at);
+      if (q == nullptr) break;
+      at = static_cast<std::size_t>(static_cast<const char*>(q) - text);
+      std::size_t run = at;
+      while (run > from && text[run - 1] == '\\') --run;
+      if ((at - run) % 2 == 0) return at;
     }
+    return size;
+  }
+
+  static bool is_special(char c) {
+    return c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  }
+
+  /// Bit 8k+7 set for the bytes k of `w` that are '\\' or below 0x20
+  /// (SWAR; bits above the lowest true one may be spurious).
+  static std::uint64_t special_bytes(std::uint64_t w) {
+    static_assert(std::endian::native == std::endian::little,
+                  "the lowest set bit must be the first byte in memory");
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    const std::uint64_t bs = w ^ (kOnes * '\\');
+    return ((bs - kOnes) & ~bs & kHigh) | ((w - kOnes * 0x20) & ~w & kHigh);
+  }
+
+  static char* put_utf8(char* dst, unsigned cp) {
+    if (cp < 0x80) {
+      *dst++ = static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      *dst++ = static_cast<char>(0xc0 | (cp >> 6));
+      *dst++ = static_cast<char>(0x80 | (cp & 0x3f));
+    } else {
+      *dst++ = static_cast<char>(0xe0 | (cp >> 12));
+      *dst++ = static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+      *dst++ = static_cast<char>(0x80 | (cp & 0x3f));
+    }
+    return dst;
   }
 
   double parse_number() {

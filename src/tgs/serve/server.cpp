@@ -63,9 +63,14 @@ struct Server::ConnCtx {
 
 /// A schedule request after reader-side resolution: graph parsed and
 /// fingerprinted, algorithm resolved against the right registry, cache key
-/// built. Everything a worker needs, immutable from here on.
+/// built. Everything a worker needs, immutable from here on. The graph
+/// text is not kept: a queued request holds only its parsed graph.
 struct Server::ResolvedRequest {
-  ServeRequest req;
+  std::string id;
+  std::string topology;
+  int procs = 0;
+  bool want_schedule = false;
+  bool use_cache = true;
   std::shared_ptr<const TaskGraph> graph;
   std::string resolved_algo;  // registry spelling ("DLS", not "DLS-APN")
   std::string algo_class;     // "BNP" / "UNC" / "APN"
@@ -226,7 +231,11 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
   if (req.retry > 0) stats_.count_retry_observed();
 
   auto rr = std::make_shared<ResolvedRequest>();
-  rr->req = req;
+  rr->id = req.id;
+  rr->topology = req.topology;
+  rr->procs = req.procs;
+  rr->want_schedule = req.want_schedule;
+  rr->use_cache = req.use_cache;
   rr->is_apn = !req.topology.empty();
 
   // Effective deadline: the client's ask, else the server default, both
@@ -349,7 +358,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
           ws.deadline().arm(rr->deadline);
         }
         if (rr->is_apn) {
-          const RoutingTable routes(Topology::from_spec(rr->req.topology));
+          const RoutingTable routes(Topology::from_spec(rr->topology));
           const ApnSchedulerPtr algo = make_apn_scheduler(rr->resolved_algo);
           NetSchedule ns = algo->run(*rr->graph, routes, ws);
           result.makespan = ns.makespan();
@@ -360,7 +369,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
         } else {
           const SchedulerPtr algo = make_scheduler(rr->resolved_algo);
           SchedOptions opt;
-          opt.num_procs = rr->req.procs;
+          opt.num_procs = rr->procs;
           Schedule s = algo->run(*rr->graph, opt, ws);
           result.makespan = s.makespan();
           result.nsl = normalized_schedule_length(s);
@@ -374,7 +383,7 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
         inflight_.fetch_sub(1);
         stats_.count_deadline_exceeded();
         stats_.count_error();
-        write_response(ctx, render_error(rr->req.id,
+        write_response(ctx, render_error(rr->id,
                                          ServeError::kDeadlineExceeded,
                                          e.what()));
         return;
@@ -382,13 +391,13 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
         inflight_.fetch_sub(1);
         stats_.count_error();
         write_response(ctx,
-                       render_error(rr->req.id, ServeError::kInternal,
+                       render_error(rr->id, ServeError::kInternal,
                                     e.what()));
         return;
       }
       const std::uint64_t micros = micros_since(started);
       bool inserted = false;
-      if (rr->req.use_cache) {
+      if (rr->use_cache) {
         try {
           cache_.insert(rr->cache_key, result);
           inserted = true;
@@ -413,9 +422,9 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
       stats_.count_ok();
       inflight_.fetch_sub(1);
       write_response(ctx, render_schedule_response(
-                              rr->req.id, rr->resolved_algo, rr->algo_class,
+                              rr->id, rr->resolved_algo, rr->algo_class,
                               result, /*cached=*/false, micros,
-                              rr->req.want_schedule, rr->is_apn));
+                              rr->want_schedule, rr->is_apn));
     });
   } catch (const std::exception&) {
     // Pool already stopping (shutdown raced the admission check).

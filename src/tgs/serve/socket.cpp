@@ -1,6 +1,7 @@
 #include "tgs/serve/socket.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -33,13 +34,18 @@ sockaddr_un make_addr(const std::string& path) {
 }  // namespace
 
 UnixConn::UnixConn(UnixConn&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      buf_(std::move(other.buf_)),
+      head_(std::exchange(other.head_, 0)),
+      scan_(std::exchange(other.scan_, 0)) {}
 
 UnixConn& UnixConn::operator=(UnixConn&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buf_ = std::move(other.buf_);
+    head_ = std::exchange(other.head_, 0);
+    scan_ = std::exchange(other.scan_, 0);
   }
   return *this;
 }
@@ -60,13 +66,27 @@ UnixConn UnixConn::connect(const std::string& path) {
 
 bool UnixConn::read_line(std::string* line, std::size_t max_line) {
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
+    // Bytes before scan_ were searched already; the line starts at head_.
+    const std::size_t nl = buf_.find('\n', scan_);
     if (nl != std::string::npos) {
-      line->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+      if (nl - head_ > max_line) throw LineTooLong(max_line);
+      line->assign(buf_, head_, nl - head_);
+      head_ = scan_ = nl + 1;
+      if (head_ == buf_.size()) {
+        buf_.clear();
+        head_ = scan_ = 0;
+      }
       return true;
     }
-    if (buf_.size() > max_line) throw LineTooLong(max_line);
+    scan_ = buf_.size();
+    if (scan_ - head_ > max_line) throw LineTooLong(max_line);
+    // Drop the consumed lines before the buffer grows: this moves only the
+    // unfinished line, once per read that finds the buffer not at its start.
+    if (head_ > 0) {
+      buf_.erase(0, head_);
+      scan_ -= head_;
+      head_ = 0;
+    }
     char chunk[65536];
     ssize_t n;
     do {
@@ -100,10 +120,12 @@ bool UnixConn::read_line(std::string* line, std::size_t max_line) {
 }
 
 void UnixConn::write_line(const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
+  // The line and its '\n' go out as two pieces of one message: no copy of
+  // the line is made to append the newline.
+  static const char kNewline = '\n';
+  const std::size_t total = line.size() + 1;
   std::size_t off = 0;
-  while (off < framed.size()) {
+  while (off < total) {
     ssize_t n;
     do {
       std::int64_t arg = 0;
@@ -112,13 +134,22 @@ void UnixConn::write_line(const std::string& line) {
         errno = EINTR;
         continue;
       }
-      std::size_t len = framed.size() - off;
+      std::size_t len = total - off;
       if (FaultPlan::hit(FaultPoint::kWriteShort, &arg))
         len = static_cast<std::size_t>(
             std::clamp<std::int64_t>(arg == 0 ? 1 : arg, 1,
                                      static_cast<std::int64_t>(len)));
+      iovec iov[2];
+      msghdr msg{};
+      msg.msg_iov = iov;
+      if (off < line.size()) {
+        const std::size_t part = std::min(len, line.size() - off);
+        iov[msg.msg_iovlen++] = {const_cast<char*>(line.data()) + off, part};
+      }
+      if (off + len == total)
+        iov[msg.msg_iovlen++] = {const_cast<char*>(&kNewline), 1};
       // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
-      n = ::send(fd_, framed.data() + off, len, MSG_NOSIGNAL);
+      n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     } while (n < 0 && errno == EINTR);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) throw IoTimeout("write");

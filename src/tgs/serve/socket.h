@@ -57,9 +57,10 @@ class UnixConn {
 
   /// Read up to the next '\n' (consumed, not returned). Returns false on
   /// clean EOF with no buffered partial line; throws LineTooLong when a
-  /// line exceeds `max_line` bytes, IoTimeout when a receive timeout is
-  /// set and expires, std::runtime_error on other I/O errors. EINTR is
-  /// retried, short reads are accumulated.
+  /// line exceeds `max_line` bytes (however its bytes arrive), IoTimeout
+  /// when a receive timeout is set and expires, std::runtime_error on
+  /// other I/O errors. EINTR is retried, short reads are accumulated; each
+  /// byte is searched for '\n' once.
   bool read_line(std::string* line, std::size_t max_line = kMaxLine);
 
   /// Write `line` plus '\n', looping over partial writes and EINTR.
@@ -85,7 +86,9 @@ class UnixConn {
 
  private:
   int fd_ = -1;
-  std::string buf_;  // bytes read past the last returned line
+  std::string buf_;        // bytes read and not yet returned, from head_
+  std::size_t head_ = 0;   // start of the next line in buf_
+  std::size_t scan_ = 0;   // buf_ holds no '\n' in [head_, scan_)
 };
 
 /// A listening socket bound to a filesystem path. Unlinks a stale socket

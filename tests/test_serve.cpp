@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tgs/exec/jsonl.h"
@@ -119,6 +120,30 @@ TEST(Fingerprint, RandomGraphsAreDistinct) {
     seen.push_back(graph_fingerprint(random_graph(s, 30)).hex());
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(Fingerprint, ValuesArePinnedAcrossReleases) {
+  // Journals key the cache by these hex strings across daemon restarts,
+  // so a change to the parser, the builder or the hash must not move
+  // them. Each graph is pinned built directly and after the daemon's
+  // ingress path: JSON request line, tgs1 text, TaskGraph.
+  RgnosParams p;
+  p.num_nodes = 500;
+  p.ccr = 1.0;
+  p.parallelism = 3;
+  p.seed = 17;
+  const std::pair<TaskGraph, const char*> pinned[] = {
+      {psg_canonical9(), "167ff2283c05561d494c4983b8004543"},
+      {rgnos_graph(p), "2ac1bcbb3f4ca999378383a519eb1944"},
+  };
+  for (const auto& [g, hex] : pinned) {
+    EXPECT_EQ(graph_fingerprint(g).hex(), hex) << g.name();
+    JsonObject o;
+    o.add("graph", graph_to_string(g)).add("algo", "MCP");
+    const ServeRequest req = parse_request(o.str());
+    EXPECT_EQ(graph_fingerprint(graph_from_string(req.graph_text)).hex(), hex)
+        << g.name();
+  }
 }
 
 // ------------------------------------------------------------------- json --

@@ -6,6 +6,7 @@
 // schedules remain byte-identical to direct runs through all of it.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,8 +15,10 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tgs/exec/jsonl.h"
@@ -133,6 +136,67 @@ TEST(FaultPlan, ZeroCostWhenEmpty) {
   FaultGuard fg;
   for (int i = 0; i < 1000; ++i)
     ASSERT_FALSE(FaultPlan::hit(FaultPoint::kReadEintr));
+}
+
+// ----------------------------------------------------------------- socket --
+
+/// Two connected ends of an AF_UNIX stream.
+std::pair<UnixConn, UnixConn> socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+    throw std::runtime_error("socketpair failed");
+  return {UnixConn(fds[0]), UnixConn(fds[1])};
+}
+
+/// A line of `size` bytes whose content depends on `seed`.
+std::string long_line(std::size_t size, char seed) {
+  std::string s(size, ' ');
+  for (std::size_t i = 0; i < size; ++i)
+    s[i] = static_cast<char>('a' + (seed + i * 7) % 26);
+  return s;
+}
+
+TEST(Socket, LongLinesSurviveShortReadsInOneStream) {
+  // Lines longer than one 64 KiB read, a blank line and one exactly at
+  // the bound, written back to back while most reads are cut short.
+  const std::size_t kBound = 300000;
+  const std::vector<std::string> lines = {
+      long_line(70000, 1), long_line(200001, 2), "", long_line(65536, 3),
+      long_line(kBound, 4), "x", long_line(131073, 5)};
+  FaultGuard fg("read_short*:4099~70,seed=5");
+  auto [reader, writer] = socket_pair();
+  std::thread send([&writer, &lines] {
+    for (const std::string& line : lines) writer.write_line(line);
+    writer.shutdown_both();
+  });
+  std::string got;
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(reader.read_line(&got, kBound));
+    EXPECT_EQ(got, line);
+  }
+  EXPECT_FALSE(reader.read_line(&got, kBound));
+  send.join();
+  EXPECT_GT(FaultPlan::global().fired(FaultPoint::kReadShort), 10u);
+}
+
+TEST(Socket, LineBoundIsExactHoweverTheBytesArrive) {
+  // One byte over the bound fails whether the line arrives with its '\n'
+  // in one read or a few bytes at a time; a line at the bound passes.
+  for (const char* faults : {"", "read_short*:3"}) {
+    for (const std::size_t size : {std::size_t{4096}, std::size_t{4097}}) {
+      FaultGuard fg(faults);
+      auto [reader, writer] = socket_pair();
+      writer.write_line(long_line(size, 6));
+      writer.shutdown_both();
+      std::string got;
+      if (size <= 4096) {
+        ASSERT_TRUE(reader.read_line(&got, 4096)) << faults;
+        EXPECT_EQ(got.size(), size);
+      } else {
+        EXPECT_THROW(reader.read_line(&got, 4096), LineTooLong) << faults;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- journal --
