@@ -148,10 +148,7 @@ void run_ablate_ccr(const ExpContext& ctx) {
   const Cli& cli = *ctx.cli;
   const int graphs = static_cast<int>(cli.get_int("graphs", 4));
   const NodeId nodes = static_cast<NodeId>(cli.get_int("nodes", 200));
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
-  const std::vector<std::string> unc_n = filtered_names(cli, unc_names());
-  const std::vector<std::string> bnp_n = filtered_names(cli, bnp_names());
-  const std::vector<std::string> apn_n = filtered_names(cli, apn_names());
+  const ClassNames classes = filtered_class_names(cli);
 
   Sweep sweep;
   std::vector<double> indices;
@@ -175,15 +172,15 @@ void run_ablate_ccr(const ExpContext& ctx) {
     SchedWorkspace& ws = bind_workspace(g);
 
     std::vector<Record> records;
-    for (const std::string& name : unc_n) {
+    for (const std::string& name : classes.unc) {
       const RunResult rr = run_scheduler(*make_scheduler(name), g, {}, ws);
       records.push_back(record_from_run(rr, "ablate_ccr", ccr, rr.nsl));
     }
-    for (const std::string& name : bnp_n) {
+    for (const std::string& name : classes.bnp) {
       const RunResult rr = run_scheduler(*make_scheduler(name), g, {}, ws);
       records.push_back(record_from_run(rr, "ablate_ccr", ccr, rr.nsl));
     }
-    for (const std::string& name : apn_n) {
+    for (const std::string& name : classes.apn) {
       RunResult rr =
           run_apn_scheduler(*make_apn_scheduler(name), g, routes, ws);
       rr.algo += "(APN)";
@@ -197,9 +194,9 @@ void run_ablate_ccr(const ExpContext& ctx) {
     std::printf("CCR sensitivity: %d RGNOS graphs (v=%u) per CCR, seed=%llu\n"
                 "Expect every column to increase down the table.\n\n",
                 graphs, nodes, static_cast<unsigned long long>(ctx.seed));
-  std::vector<std::string> columns = unc_n;
-  for (const std::string& n : bnp_n) columns.push_back(n);
-  for (const std::string& n : apn_n) columns.push_back(n + "(APN)");
+  std::vector<std::string> columns = classes.unc;
+  for (const std::string& n : classes.bnp) columns.push_back(n);
+  for (const std::string& n : classes.apn) columns.push_back(n + "(APN)");
   PivotStats stats("CCR", columns);
   sink.fold("ablate_ccr", stats);
   emit(ctx, "ablate_ccr", "Ablation: average NSL vs CCR (all 15 algorithms)",

@@ -18,7 +18,6 @@
 // optimum hits. tools/bench_summary.py --ranks reproduces the ranking
 // from the JSONL stream.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -30,7 +29,6 @@
 #include "tgs/optimal/bb_scheduler.h"
 #include "tgs/param/param_scheduler.h"
 #include "tgs/sched/metrics.h"
-#include "tgs/util/rng.h"
 #include "tgs/util/stats.h"
 
 namespace tgs::bench {
@@ -190,16 +188,9 @@ void run_param_sweep(const ExpContext& ctx) {
                            static_cast<double>(bbr.nodes_expanded));
       records.push_back(std::move(ref));
     } else {
-      RgposParams params;
-      params.num_nodes = v;
-      params.num_procs = procs;
-      params.ccr = ccr;
-      params.width_guard = true;  // plant = universal lower bound
-      std::uint64_t state = jc.master_seed ^
-                            (static_cast<std::uint64_t>(v) << 18) ^
-                            static_cast<std::uint64_t>(std::llround(ccr * 1000));
-      params.seed = splitmix64(state);
-      const RgposGraph r = rgpos_graph(params);
+      // width_guard: the plant is a universal lower bound.
+      const RgposGraph r = rgpos_suite_graph(ccr, v, procs, jc.master_seed,
+                                             /*width_guard=*/true);
       SchedWorkspace& ws = bind_workspace(r.graph);
       SchedOptions opt;
       for (const std::string& name : names) {

@@ -36,10 +36,7 @@ void run_fig2(const ExpContext& ctx) {
   const NodeId apn_max = static_cast<NodeId>(
       cli.get_int("apn-max-nodes", static_cast<std::int64_t>(max_nodes)));
   const auto reps = rgnos_reps(cli.has("full"));
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
-  const std::vector<std::string> unc_n = filtered_names(cli, unc_names());
-  const std::vector<std::string> bnp_n = filtered_names(cli, bnp_names());
-  const std::vector<std::string> apn_n = filtered_names(cli, apn_names());
+  const ClassNames classes = filtered_class_names(cli);
 
   const Sweep sweep = rgnos_size_sweep(max_nodes, reps.size());
 
@@ -58,16 +55,16 @@ void run_fig2(const ExpContext& ctx) {
       rec.num.emplace_back("parallelism", g.parallelism);
       records.push_back(std::move(rec));
     };
-    for (const std::string& name : unc_n)
+    for (const std::string& name : classes.unc)
       tag(record_from_run(
           require_valid(run_scheduler(*make_scheduler(name), g.graph, {}, ws)),
           "fig2a", v, 0.0));
-    for (const std::string& name : bnp_n)
+    for (const std::string& name : classes.bnp)
       tag(record_from_run(
           require_valid(run_scheduler(*make_scheduler(name), g.graph, {}, ws)),
           "fig2b", v, 0.0));
     if (v <= apn_max)
-      for (const std::string& name : apn_n)
+      for (const std::string& name : classes.apn)
         tag(record_from_run(
             require_valid(run_apn_scheduler(*make_apn_scheduler(name),
                                             g.graph, routes, ws)),
@@ -90,9 +87,9 @@ void run_fig2(const ExpContext& ctx) {
     sink.fold(pivot, stats);
     emit(ctx, "tgs_bench_" + pivot, title, stats.render(3));
   };
-  render("fig2a", unc_n, "Figure 2(a): average NSL, UNC algorithms");
-  render("fig2b", bnp_n, "Figure 2(b): average NSL, BNP algorithms");
-  render("fig2c", apn_n, "Figure 2(c): average NSL, APN algorithms");
+  render("fig2a", classes.unc, "Figure 2(a): average NSL, UNC algorithms");
+  render("fig2b", classes.bnp, "Figure 2(b): average NSL, BNP algorithms");
+  render("fig2c", classes.apn, "Figure 2(c): average NSL, APN algorithms");
   report_sink(ctx, sink, out);
 }
 

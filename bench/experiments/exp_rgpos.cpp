@@ -10,7 +10,6 @@
 // half the cases with <2% average degradation; degradations increase with
 // CCR; at CCR 10 hardly any algorithm finds an optimum. The BNP
 // algorithms produce similar numbers of optima and degradations.
-#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -19,7 +18,6 @@
 #include "tgs/harness/registry.h"
 #include "tgs/harness/runner.h"
 #include "tgs/sched/metrics.h"
-#include "tgs/util/rng.h"
 #include "tgs/util/stats.h"
 
 namespace tgs::bench {
@@ -46,21 +44,11 @@ void run_table_rgpos(const ExpContext& ctx, bool unc) {
   const auto job = [&](const JobContext& jc, const SweepPoint& pt) {
     const double ccr = pt.param("ccr");
     const NodeId v = static_cast<NodeId>(pt.param("v"));
-    RgposParams params;
-    params.num_nodes = v;
-    params.num_procs = procs;
-    params.ccr = ccr;
+    // The paper's fixed per-(ccr, v) suite keyed by the master seed.
     // width_guard = true for the UNC table: the algorithms are unbounded,
     // so the planted optimum must be a universal lower bound (gen/rgpos.h).
-    params.width_guard = unc;
-    // The paper's fixed per-(ccr, v) suite keyed by the master seed --
-    // the same pairing rgpos_suite() uses, so retiring the standalone
-    // benches kept every graph identical.
-    std::uint64_t state = jc.master_seed ^
-                          (static_cast<std::uint64_t>(v) << 18) ^
-                          static_cast<std::uint64_t>(std::llround(ccr * 1000));
-    params.seed = splitmix64(state);
-    const RgposGraph r = rgpos_graph(params);
+    const RgposGraph r =
+        rgpos_suite_graph(ccr, v, procs, jc.master_seed, /*width_guard=*/unc);
     const std::string pivot = "ccr" + Table::fmt(ccr, 1);
     SchedWorkspace& ws = bind_workspace(r.graph);
 

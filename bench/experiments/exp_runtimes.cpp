@@ -26,17 +26,10 @@
 #include "tgs/harness/runner.h"
 #include "tgs/net/routing.h"
 #include "tgs/util/rng.h"
+#include "tgs/util/stats.h"
 
 namespace tgs::bench {
 namespace {
-
-/// Median of an unsorted sample (empty -> 0).
-double median_of(std::vector<double> xs) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const std::size_t mid = xs.size() / 2;
-  return xs.size() % 2 == 1 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2.0;
-}
 
 // -------------------------------------------------------------- table6 ----
 
@@ -45,10 +38,7 @@ void run_table6(const ExpContext& ctx) {
   const NodeId max_nodes = static_cast<NodeId>(cli.get_int("max-nodes", 500));
   const int time_reps = std::max(1, static_cast<int>(cli.get_int("reps", 1)));
   const auto reps = rgnos_reps(cli.has("full"));
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
-  const std::vector<std::string> unc_n = filtered_names(cli, unc_names());
-  const std::vector<std::string> bnp_n = filtered_names(cli, bnp_names());
-  const std::vector<std::string> apn_n = filtered_names(cli, apn_names());
+  const ClassNames classes = filtered_class_names(cli);
 
   const Sweep sweep = rgnos_size_sweep(max_nodes, reps.size());
 
@@ -76,21 +66,21 @@ void run_table6(const ExpContext& ctx) {
     };
 
     std::vector<Record> records;
-    for (const std::string& name : unc_n) {
+    for (const std::string& name : classes.unc) {
       const RunResult rr = timed([&] {
         return run_scheduler(*make_scheduler(name), g.graph, {}, ws);
       });
       records.push_back(
           record_from_run(rr, "table6", v, ctx.time_value(rr.seconds)));
     }
-    for (const std::string& name : bnp_n) {
+    for (const std::string& name : classes.bnp) {
       const RunResult rr = timed([&] {
         return run_scheduler(*make_scheduler(name), g.graph, {}, ws);
       });
       records.push_back(
           record_from_run(rr, "table6", v, ctx.time_value(rr.seconds)));
     }
-    for (const std::string& name : apn_n) {
+    for (const std::string& name : classes.apn) {
       RunResult rr = timed([&] {
         return run_apn_scheduler(*make_apn_scheduler(name), g.graph, routes,
                                  ws);
@@ -108,9 +98,9 @@ void run_table6(const ExpContext& ctx) {
                 "%d timing rep(s), APN on hcube3, %d worker threads\n\n",
                 static_cast<unsigned long long>(ctx.seed), reps.size(),
                 time_reps, ctx.threads);
-  std::vector<std::string> columns = unc_n;
-  for (const std::string& n : bnp_n) columns.push_back(n);
-  for (const std::string& n : apn_n) columns.push_back(n + "(APN)");
+  std::vector<std::string> columns = classes.unc;
+  for (const std::string& n : classes.bnp) columns.push_back(n);
+  for (const std::string& n : classes.apn) columns.push_back(n + "(APN)");
   PivotStats stats("v", columns);
   sink.fold("table6", stats);
   emit(ctx, "table6_runtimes",
@@ -125,7 +115,7 @@ void run_micro(const ExpContext& ctx) {
   const Cli& cli = *ctx.cli;
   const int reps = std::max(1, static_cast<int>(cli.get_int("reps", 5)));
   const NodeId max_nodes = static_cast<NodeId>(cli.get_int("max-nodes", 300));
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
+  const ClassNames classes = filtered_class_names(cli);
 
   struct Algo {
     enum Kind { kSched, kApn } kind;
@@ -133,11 +123,11 @@ void run_micro(const ExpContext& ctx) {
     std::string label;  // pivot column (APN DLS disambiguated)
   };
   std::vector<Algo> algos;
-  for (const std::string& n : filtered_names(cli, bnp_names()))
+  for (const std::string& n : classes.bnp)
     algos.push_back({Algo::kSched, n, n});
-  for (const std::string& n : filtered_names(cli, unc_names()))
+  for (const std::string& n : classes.unc)
     algos.push_back({Algo::kSched, n, n});
-  for (const std::string& n : filtered_names(cli, apn_names()))
+  for (const std::string& n : classes.apn)
     algos.push_back({Algo::kApn, n, n == "DLS" ? "DLS-APN" : n});
 
   Sweep sweep;
@@ -195,7 +185,7 @@ void run_micro(const ExpContext& ctx) {
     Record rec = record_from_run(rr, "micro", v, ctx.time_value(best_ms));
     // The minimum is the noise floor; the median shows whether the floor
     // is representative, which is what the docs/perf.md claims cite.
-    rec.num.emplace_back("median_ms", ctx.time_value(median_of(samples_ms)));
+    rec.num.emplace_back("median_ms", ctx.time_value(median(samples_ms)));
     rec.num.emplace_back("mean_ms", ctx.time_value(sum_ms / reps));
     rec.num.emplace_back("reps", reps);
     records.push_back(std::move(rec));

@@ -30,19 +30,16 @@ void run_fig4(const ExpContext& ctx) {
   // classes to separate; at scale 1.0 every algorithm pins NSL to 1.0 and
   // the figure degenerates.
   const double comm = cli.get_double("comm", 5.0);
-  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
-  const std::vector<std::string> unc_n = filtered_names(cli, unc_names());
-  const std::vector<std::string> bnp_n = filtered_names(cli, bnp_names());
-  const std::vector<std::string> apn_n = filtered_names(cli, apn_names());
+  const ClassNames classes = filtered_class_names(cli);
   const auto wants = [](const std::vector<std::string>& names,
                         const char* name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
   // The Gaussian cross-check columns honour the --algo filter too.
   std::vector<std::string> gauss_n;
-  if (wants(unc_n, "DCP")) gauss_n.push_back("DCP");
-  if (wants(bnp_n, "MCP")) gauss_n.push_back("MCP");
-  if (wants(apn_n, "BSA")) gauss_n.push_back("BSA");
+  if (wants(classes.unc, "DCP")) gauss_n.push_back("DCP");
+  if (wants(classes.bnp, "MCP")) gauss_n.push_back("MCP");
+  if (wants(classes.apn, "BSA")) gauss_n.push_back("BSA");
 
   Sweep sweep;
   std::vector<double> dims;
@@ -63,15 +60,15 @@ void run_fig4(const ExpContext& ctx) {
     {
       const TaskGraph g = cholesky_graph(dim, comm);
       SchedWorkspace& ws = bind_workspace(g);
-      for (const std::string& name : unc_n) {
+      for (const std::string& name : classes.unc) {
         const RunResult rr = run_scheduler(*make_scheduler(name), g, {}, ws);
         records.push_back(record_from_run(rr, "fig4a", dim, rr.nsl));
       }
-      for (const std::string& name : bnp_n) {
+      for (const std::string& name : classes.bnp) {
         const RunResult rr = run_scheduler(*make_scheduler(name), g, {}, ws);
         records.push_back(record_from_run(rr, "fig4b", dim, rr.nsl));
       }
-      for (const std::string& name : apn_n) {
+      for (const std::string& name : classes.apn) {
         const RunResult rr =
             run_apn_scheduler(*make_apn_scheduler(name), g, routes, ws);
         records.push_back(record_from_run(rr, "fig4c", dim, rr.nsl));
@@ -108,11 +105,11 @@ void run_fig4(const ExpContext& ctx) {
     sink.fold(pivot, stats);
     emit(ctx, name, title, stats.render(3));
   };
-  render("fig4a", unc_n, "fig4a_traced_unc",
+  render("fig4a", classes.unc, "fig4a_traced_unc",
          "Figure 4(a): average NSL on Cholesky, UNC");
-  render("fig4b", bnp_n, "fig4b_traced_bnp",
+  render("fig4b", classes.bnp, "fig4b_traced_bnp",
          "Figure 4(b): average NSL on Cholesky, BNP");
-  render("fig4c", apn_n, "fig4c_traced_apn",
+  render("fig4c", classes.apn, "fig4c_traced_apn",
          "Figure 4(c): average NSL on Cholesky, APN");
   render("fig4x", gauss_n, "fig4x_traced_gauss",
          "Figure 4 extension: Gaussian elimination cross-check");

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "tgs/harness/registry.h"
+
 namespace tgs::bench {
 
 void ExperimentRegistry::add(ExperimentDef def) {
@@ -117,6 +119,12 @@ void check_algo_filter(
       throw std::invalid_argument("--algo=" + want +
                                   " matches no algorithm of this experiment");
   }
+}
+
+ClassNames filtered_class_names(const Cli& cli) {
+  check_algo_filter(cli, {unc_names(), bnp_names(), apn_names()});
+  return {filtered_names(cli, unc_names()), filtered_names(cli, bnp_names()),
+          filtered_names(cli, apn_names())};
 }
 
 double num_field(const Record& rec, const std::string& key, double fallback) {

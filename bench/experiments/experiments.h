@@ -94,6 +94,16 @@ std::vector<std::string> filtered_names(const Cli& cli,
 void check_algo_filter(const Cli& cli,
                        const std::vector<std::vector<std::string>>& known_sets);
 
+/// The UNC, BNP and APN names of an experiment that runs all three
+/// classes, each in registry order and filtered by --algo.
+struct ClassNames {
+  std::vector<std::string> unc, bnp, apn;
+};
+
+/// check_algo_filter against the three classes, then filtered_names for
+/// each.
+ClassNames filtered_class_names(const Cli& cli);
+
 /// First numeric JSONL field named `key` of `rec`, or `fallback`.
 double num_field(const Record& rec, const std::string& key, double fallback);
 

@@ -247,7 +247,7 @@ NetSchedule contended_net(const TaskGraph& g, const RoutingTable& routes) {
   ns.tasks().place(0, 0, 0);
   const int p = routes.topology().num_procs();
   for (NodeId w = 1; w < g.num_nodes() - 1; ++w)
-    ns.commit_message(0, w, static_cast<int>(w * 5 % p));
+    ns.commit_parent_message(w, 0, static_cast<int>(w * 5 % p));
   return ns;
 }
 
@@ -286,22 +286,6 @@ void BM_Net_ProbePerDestination(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Net_ProbePerDestination);
-
-// Message commit/release churn against loaded link timelines (the BSA
-// migration pattern): every cycle routes a 3-hop message and releases it.
-void BM_Net_CommitReleaseChurn(benchmark::State& state) {
-  const TaskGraph g = fork_join(static_cast<NodeId>(state.range(0)), 10, 9);
-  const RoutingTable routes{Topology::hypercube(3)};
-  NetSchedule ns = contended_net(g, routes);
-  for (auto _ : state) {
-    // 0 -> 7 is the full-diameter route.
-    ns.release_message(0, 1);
-    benchmark::DoNotOptimize(ns.commit_message(0, 1, 7));
-    ns.release_message(0, 1);
-    benchmark::DoNotOptimize(ns.commit_message(0, 1, 5));
-  }
-}
-BENCHMARK(BM_Net_CommitReleaseChurn)->Arg(400)->Arg(1500);
 
 // ------------------------------------------------------ data structures --
 

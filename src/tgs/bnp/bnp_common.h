@@ -40,7 +40,6 @@ class ProcScanner {
   int scan_count() const { return std::min(limit_, used_ + 1); }
 
   int limit() const { return limit_; }
-  int used() const { return used_; }
 
   void note_placement(ProcId p) {
     used_ = std::max(used_, static_cast<int>(p) + 1);
@@ -313,9 +312,6 @@ class IncrementalPairSelector {
   /// Cached best (processor, EST) of ready node `n`; exact under the
   /// invariant above.
   const ProcChoice& best(NodeId n) const { return scratch_->best[n]; }
-
-  /// Frozen arrival summary of ready node `n`.
-  const ArrivalInfo& arrival(NodeId n) const { return scratch_->arrival[n]; }
 
  private:
   void bucket_insert(NodeId m) {

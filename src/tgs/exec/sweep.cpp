@@ -1,6 +1,5 @@
 #include "tgs/exec/sweep.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "tgs/exec/thread_pool.h"
@@ -37,50 +36,27 @@ Sweep& Sweep::axis(std::string name, std::vector<double> values,
   return *this;
 }
 
-Sweep& Sweep::replications(int n) {
-  reps_ = std::max(1, n);
-  return *this;
-}
-
-std::size_t Sweep::size() const {
-  std::size_t n = static_cast<std::size_t>(reps_);
-  for (const Axis& a : axes_) n *= a.values.size();
-  return n;
-}
-
 std::vector<SweepPoint> Sweep::expand() const {
+  std::size_t size = 1;
+  for (const Axis& a : axes_) size *= a.values.size();
   std::vector<SweepPoint> points;
-  points.reserve(size());
-  // Odometer over axis value indices; the last axis advances fastest and
-  // replications fastest of all, so adding a replication or extending the
-  // final axis keeps earlier points' indices (and seeds) stable.
+  points.reserve(size);
+  // Odometer over axis value indices; the last axis advances fastest, so
+  // extending the first axis keeps earlier points' indices (and seeds)
+  // stable.
   std::vector<std::size_t> digit(axes_.size(), 0);
-  const auto exhausted = [&] {
-    for (const Axis& a : axes_)
-      if (a.values.empty()) return true;
-    return false;
-  }();
-  std::uint64_t index = 0;
-  bool done = exhausted;
-  while (!done) {
-    for (int rep = 0; rep < reps_; ++rep) {
-      SweepPoint p;
-      p.index = index++;
-      p.replication = rep;
-      p.params.reserve(axes_.size());
-      for (std::size_t a = 0; a < axes_.size(); ++a) {
-        p.params.emplace_back(axes_[a].name, axes_[a].values[digit[a]]);
-        if (!axes_[a].labels.empty())
-          p.labels.emplace_back(axes_[a].name, axes_[a].labels[digit[a]]);
-      }
-      points.push_back(std::move(p));
+  for (std::uint64_t index = 0; index < size; ++index) {
+    SweepPoint p;
+    p.index = index;
+    p.params.reserve(axes_.size());
+    for (std::size_t a = 0; a < axes_.size(); ++a) {
+      p.params.emplace_back(axes_[a].name, axes_[a].values[digit[a]]);
+      if (!axes_[a].labels.empty())
+        p.labels.emplace_back(axes_[a].name, axes_[a].labels[digit[a]]);
     }
-    done = true;
+    points.push_back(std::move(p));
     for (std::size_t a = axes_.size(); a-- > 0;) {
-      if (++digit[a] < axes_[a].values.size()) {
-        done = false;
-        break;
-      }
+      if (++digit[a] < axes_[a].values.size()) break;
       digit[a] = 0;
     }
   }

@@ -28,27 +28,15 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPool::stop(bool drain) {
+void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ && workers_.empty()) return;
     stopping_ = true;
-    if (!drain) {
-      discarded_ += queue_.size();
-      std::queue<std::function<void()>>().swap(queue_);
-    }
   }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  // Everything is done (or dropped): release wait_idle() callers, who would
-  // otherwise sleep forever if the queue was discarded under them.
-  idle_cv_.notify_all();
-}
-
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 std::size_t ThreadPool::queue_depth() const {
@@ -59,11 +47,6 @@ std::size_t ThreadPool::queue_depth() const {
 std::size_t ThreadPool::tasks_failed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return failed_;
-}
-
-std::size_t ThreadPool::tasks_discarded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return discarded_;
 }
 
 void ThreadPool::worker_loop() {

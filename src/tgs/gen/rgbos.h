@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "tgs/gen/random_core.h"
 
@@ -22,8 +21,5 @@ inline constexpr NodeId kRgbosStep = 2;
 
 /// One RGBOS graph (deterministic in (ccr, num_nodes, seed)).
 TaskGraph rgbos_graph(double ccr, NodeId num_nodes, std::uint64_t seed);
-
-/// The full 12-graph subset for one CCR.
-std::vector<TaskGraph> rgbos_suite(double ccr, std::uint64_t seed);
 
 }  // namespace tgs

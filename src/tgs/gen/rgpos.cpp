@@ -157,21 +157,17 @@ RgposGraph rgpos_graph(const RgposParams& params) {
   return out;
 }
 
-std::vector<RgposGraph> rgpos_suite(double ccr, int num_procs,
-                                    std::uint64_t seed, bool width_guard) {
-  std::vector<RgposGraph> out;
-  for (NodeId v = 50; v <= 500; v += 50) {
-    RgposParams params;
-    params.num_nodes = v;
-    params.num_procs = num_procs;
-    params.ccr = ccr;
-    params.width_guard = width_guard;
-    std::uint64_t state = seed ^ (static_cast<std::uint64_t>(v) << 18) ^
-                          static_cast<std::uint64_t>(std::llround(ccr * 1000));
-    params.seed = splitmix64(state);
-    out.push_back(rgpos_graph(params));
-  }
-  return out;
+RgposGraph rgpos_suite_graph(double ccr, NodeId num_nodes, int num_procs,
+                             std::uint64_t seed, bool width_guard) {
+  RgposParams params;
+  params.num_nodes = num_nodes;
+  params.num_procs = num_procs;
+  params.ccr = ccr;
+  params.width_guard = width_guard;
+  std::uint64_t state = seed ^ (static_cast<std::uint64_t>(num_nodes) << 18) ^
+                        static_cast<std::uint64_t>(std::llround(ccr * 1000));
+  params.seed = splitmix64(state);
+  return rgpos_graph(params);
 }
 
 }  // namespace tgs

@@ -55,10 +55,11 @@ struct RgposParams {
 
 RgposGraph rgpos_graph(const RgposParams& params);
 
-/// The paper's sweep for one CCR: v = 50..500 step 50 (10 graphs).
-std::vector<RgposGraph> rgpos_suite(double ccr, int num_procs,
-                                    std::uint64_t seed,
-                                    bool width_guard = false);
+/// One graph of the paper's suite (v = 50..500 step 50 per CCR): v nodes
+/// planted on num_procs processors at `ccr`, its seed paired with (seed,
+/// ccr, v) so every (ccr, v) cell is fixed by the suite seed.
+RgposGraph rgpos_suite_graph(double ccr, NodeId num_nodes, int num_procs,
+                             std::uint64_t seed, bool width_guard);
 
 inline constexpr double kRgposCcrs[] = {0.1, 1.0, 10.0};
 

@@ -56,22 +56,6 @@ std::vector<Time> static_levels(const TaskGraph& g) {
   return b;
 }
 
-void comp_t_levels_into(const TaskGraph& g, std::vector<Time>& t) {
-  t.assign(g.num_nodes(), 0);
-  for (NodeId u : g.topological_order()) {
-    Time best = 0;
-    for (const Adj& p : g.parents(u))
-      best = std::max(best, t[p.node] + g.weight(p.node));
-    t[u] = best;
-  }
-}
-
-std::vector<Time> comp_t_levels(const TaskGraph& g) {
-  std::vector<Time> t;
-  comp_t_levels_into(g, t);
-  return t;
-}
-
 Time critical_path_length(const TaskGraph& g) {
   const auto b = b_levels(g);
   Time best = 0;
@@ -141,7 +125,7 @@ Time computation_critical_path_length(const TaskGraph& g) {
 
 void GraphAttributeCache::bind(const TaskGraph& g) {
   graph_ = &g;
-  have_sl_ = have_bl_ = have_tl_ = have_ctl_ = have_alap_ = have_cp_ = false;
+  have_sl_ = have_bl_ = have_tl_ = have_alap_ = have_cp_ = false;
 }
 
 const TaskGraph& GraphAttributeCache::bound() const {
@@ -172,14 +156,6 @@ const std::vector<Time>& GraphAttributeCache::t_levels() {
     have_tl_ = true;
   }
   return tl_;
-}
-
-const std::vector<Time>& GraphAttributeCache::comp_t_levels() {
-  if (!have_ctl_) {
-    comp_t_levels_into(bound(), ctl_);
-    have_ctl_ = true;
-  }
-  return ctl_;
 }
 
 Time GraphAttributeCache::critical_path_length() {

@@ -35,10 +35,6 @@ std::vector<Time> static_levels(const TaskGraph& g);
 void t_levels_into(const TaskGraph& g, std::vector<Time>& out);
 void b_levels_into(const TaskGraph& g, std::vector<Time>& out);
 void static_levels_into(const TaskGraph& g, std::vector<Time>& out);
-void comp_t_levels_into(const TaskGraph& g, std::vector<Time>& out);
-
-/// t-level counting node weights only (comm-free earliest start).
-std::vector<Time> comp_t_levels(const TaskGraph& g);
 
 /// Length of the critical path: max over nodes of t_level + w (equivalently
 /// max b-level over entry nodes).
@@ -88,7 +84,6 @@ class GraphAttributeCache {
   const std::vector<Time>& static_levels();
   const std::vector<Time>& b_levels();
   const std::vector<Time>& t_levels();
-  const std::vector<Time>& comp_t_levels();
   const std::vector<Time>& alap_times();
   Time critical_path_length();
 
@@ -96,9 +91,9 @@ class GraphAttributeCache {
   const TaskGraph& bound() const;
 
   const TaskGraph* graph_ = nullptr;
-  std::vector<Time> sl_, bl_, tl_, ctl_, alap_;
+  std::vector<Time> sl_, bl_, tl_, alap_;
   bool have_sl_ = false, have_bl_ = false, have_tl_ = false,
-       have_ctl_ = false, have_alap_ = false, have_cp_ = false;
+       have_alap_ = false, have_cp_ = false;
   Time cp_len_ = 0;
 };
 

@@ -14,14 +14,6 @@ std::vector<NodeId> order_by_descending(const std::vector<Time>& priority) {
   return order;
 }
 
-std::vector<NodeId> order_by_ascending(const std::vector<Time>& key) {
-  std::vector<NodeId> order(key.size());
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](NodeId a, NodeId b) { return key[a] < key[b]; });
-  return order;
-}
-
 NodeId argmax_priority(const std::vector<NodeId>& candidates,
                        const std::vector<Time>& priority) {
   NodeId best = kNoNode;

@@ -12,9 +12,6 @@ namespace tgs {
 /// Nodes sorted by descending priority; ties broken by smaller node id.
 std::vector<NodeId> order_by_descending(const std::vector<Time>& priority);
 
-/// Nodes sorted by ascending key; ties broken by smaller node id.
-std::vector<NodeId> order_by_ascending(const std::vector<Time>& key);
-
 /// Index of the max-priority element of `candidates` (smallest id on ties).
 NodeId argmax_priority(const std::vector<NodeId>& candidates,
                        const std::vector<Time>& priority);

@@ -22,12 +22,6 @@ std::size_t NetSchedule::parent_index(NodeId u, NodeId v) const {
              : pars.size();
 }
 
-Time NetSchedule::commit_message(NodeId u, NodeId v, int dst_proc) {
-  const std::size_t i = parent_index(u, v);
-  if (i == graph().num_parents(v)) throw std::logic_error("no such edge");
-  return commit_parent_message(v, i, dst_proc);
-}
-
 Time NetSchedule::commit_parent_message(NodeId v, std::size_t i,
                                         int dst_proc) {
   const Adj& par = graph().parents(v)[i];
@@ -80,21 +74,6 @@ void NetSchedule::probe_arrival_all(int src_proc, Cost size,
     out[st.proc] =
         links_[st.link].earliest_fit(out[st.parent], size, /*insertion=*/true) +
         size;
-}
-
-void NetSchedule::release_message(NodeId u, NodeId v) {
-  const std::size_t i = parent_index(u, v);
-  if (i == graph().num_parents(v)) return;
-  Slot& m = slots_[graph().parent_edge(v, i)];
-  if (!m.committed) return;
-  for (std::uint32_t h = m.hop_begin; h < m.hop_begin + m.hop_count; ++h)
-    links_[hops_[h].link].release(msg_key(u, v), hops_[h].start);
-  // The last message's hops are reclaimed; others stay unreferenced in
-  // hops_ (no scheduler releases messages; tests and benchmarks do).
-  if (m.hop_begin + m.hop_count == hops_.size()) hops_.resize(m.hop_begin);
-  m = Slot{};
-  --num_messages_;
-  order_.dirty = true;
 }
 
 const std::vector<Message>& NetSchedule::messages() const {

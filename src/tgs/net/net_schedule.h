@@ -66,15 +66,11 @@ class NetSchedule {
   Schedule& tasks() { return tasks_; }
   const Schedule& tasks() const { return tasks_; }
 
-  /// Route the message of edge (u, v) (u placed, v's processor given) and
-  /// commit the link reservations. Returns the arrival time at dst_proc.
-  /// Co-located endpoints produce no message and arrive at depart_after.
-  /// Throws std::logic_error when the edge does not exist or already
-  /// carries a message.
-  Time commit_message(NodeId u, NodeId v, int dst_proc);
-
-  /// commit_message for the edge parents(v)[i] -> v, which the caller
-  /// already holds: no edge search.
+  /// Route the message of edge parents(v)[i] -> v (v's processor given)
+  /// and commit the link reservations. Returns the arrival time at
+  /// dst_proc. Co-located endpoints produce no message and arrive at
+  /// depart_after. Throws std::logic_error when the parent is not placed
+  /// or the edge already carries a message.
   Time commit_parent_message(NodeId v, std::size_t i, int dst_proc);
 
   /// Arrival time the message WOULD have if routed now, without reserving
@@ -92,9 +88,6 @@ class NetSchedule {
   void probe_arrival_all(int src_proc, Cost size, Time depart_after,
                          std::span<Time> out) const;
 
-  /// Remove the committed message of edge (u, v), releasing its links.
-  void release_message(NodeId u, NodeId v);
-
   /// Number of committed messages, O(1).
   std::size_t num_messages() const { return num_messages_; }
 
@@ -109,10 +102,9 @@ class NetSchedule {
   /// Become a copy of `src` (same graph and routes) holding only the tasks
   /// n with rank[n] < k and the messages into them: filtered bulk copies
   /// of every processor and link timeline. When src was built by
-  /// committing nodes (apn_commit_node) in ascending rank and never
-  /// releasing anything, the result equals src's state after its first k
-  /// commits -- later commits only add reservations. `src` must not be
-  /// this schedule.
+  /// committing nodes (apn_commit_node) in ascending rank, the result
+  /// equals src's state after its first k commits -- later commits only
+  /// add reservations. `src` must not be this schedule.
   void assign_prefix(const NetSchedule& src,
                      std::span<const std::uint32_t> rank, std::uint32_t k);
 

@@ -29,11 +29,6 @@ double speedup(const TaskGraph& g, Time schedule_length) {
          static_cast<double>(schedule_length);
 }
 
-double efficiency(const TaskGraph& g, Time schedule_length, int procs_used) {
-  if (procs_used <= 0) return 0.0;
-  return speedup(g, schedule_length) / static_cast<double>(procs_used);
-}
-
 Time schedule_length_lower_bound(const TaskGraph& g, int num_procs) {
   const Time cp = computation_critical_path_length(g);
   if (num_procs <= 0) return cp;

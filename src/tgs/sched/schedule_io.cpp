@@ -21,6 +21,8 @@ std::string schedule_to_string(const Schedule& s) {
   return os.str();
 }
 
+namespace {
+
 Schedule read_schedule(std::istream& is, const TaskGraph& g) {
   std::string line, magic;
   NodeId count = 0;
@@ -56,6 +58,8 @@ Schedule read_schedule(std::istream& is, const TaskGraph& g) {
   return s;
 }
 
+}  // namespace
+
 Schedule schedule_from_string(const std::string& text, const TaskGraph& g) {
   std::istringstream is(text);
   return read_schedule(is, g);
@@ -65,12 +69,6 @@ void save_schedule(const std::string& path, const Schedule& s) {
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot open for write: " + path);
   write_schedule(f, s);
-}
-
-Schedule load_schedule(const std::string& path, const TaskGraph& g) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open for read: " + path);
-  return read_schedule(f, g);
 }
 
 }  // namespace tgs

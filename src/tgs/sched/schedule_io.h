@@ -21,10 +21,8 @@ std::string schedule_to_string(const Schedule& s);
 
 /// Parse a schedule for `g`; throws std::invalid_argument on malformed
 /// input, node-count mismatch, or placements that overlap on a processor.
-Schedule read_schedule(std::istream& is, const TaskGraph& g);
 Schedule schedule_from_string(const std::string& text, const TaskGraph& g);
 
 void save_schedule(const std::string& path, const Schedule& s);
-Schedule load_schedule(const std::string& path, const TaskGraph& g);
 
 }  // namespace tgs

@@ -293,14 +293,6 @@ void Timeline::seal_packed(std::size_t used) {
   rebuild_tree();
 }
 
-void Timeline::clear() {
-  chunks_.clear();
-  tree_.clear();
-  tree_base_ = 0;
-  size_ = 0;
-  end_time_ = 0;
-}
-
 std::vector<Interval> Timeline::intervals() const {
   std::vector<Interval> flat;
   flat.reserve(size_);

@@ -63,9 +63,6 @@ class Timeline {
   /// the linear scan if no interval with this owner sits at `start_hint`.
   bool release(std::int64_t owner, Time start_hint);
 
-  /// Remove all intervals.
-  void clear();
-
   /// Become a copy of `src` holding only the intervals whose owner
   /// satisfies keep(owner), in src's order: one pass that packs them into
   /// fresh chunks (no fits, no searches), reusing this timeline's chunk

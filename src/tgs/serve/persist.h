@@ -71,7 +71,6 @@ class Journal {
   void open(const std::string& path, int fsync_every);
 
   bool is_open() const;
-  const std::string& path() const { return path_; }
 
   /// Recovery outcome of the last open().
   const JournalRecovery& recovery() const { return recovery_; }

@@ -106,7 +106,7 @@ Server::~Server() {
   request_stop();
   // Safe double-drain when serve_forever() already ran: both are
   // idempotent, and conns_ is empty after its cleanup.
-  pool_.stop(/*drain=*/true);
+  pool_.shutdown();
   reap_finished_connections(/*join_all=*/true);
 }
 
@@ -132,7 +132,7 @@ void Server::serve_forever() {
   }
   // Drain: admitted jobs finish and write their responses, then every
   // reader is forced off its socket and joined.
-  pool_.stop(/*drain=*/true);
+  pool_.shutdown();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& ctx : conns_) ctx->conn.shutdown_both();

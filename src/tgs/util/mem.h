@@ -40,7 +40,6 @@ AllocStats alloc_stats();
 class AllocMeter {
  public:
   AllocMeter() : start_(alloc_stats()) {}
-  void reset() { start_ = alloc_stats(); }
   std::uint64_t count() const { return alloc_stats().count - start_.count; }
   std::uint64_t bytes() const { return alloc_stats().bytes - start_.bytes; }
 

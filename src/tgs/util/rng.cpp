@@ -78,9 +78,4 @@ std::uint64_t derive_seed(std::uint64_t master_seed, std::uint64_t stream) {
   return splitmix64(state);
 }
 
-Rng Rng::split() {
-  std::uint64_t sub = (*this)();
-  return Rng(sub);
-}
-
 }  // namespace tgs

@@ -44,9 +44,6 @@ class Rng {
   /// clipped below at lo_floor.
   Cost uniform_mean(Cost mean, Cost lo_floor = 1);
 
-  /// Derive an independent child stream (for per-graph sub-seeds).
-  Rng split();
-
  private:
   std::array<std::uint64_t, 4> s_;
 };
@@ -55,7 +52,7 @@ class Rng {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// SeedSequence-style child-seed derivation: a well-mixed seed for stream
-/// `stream` (job index, replication number, ...) of a sweep keyed by
+/// `stream` (job index, grid point, ...) of a sweep keyed by
 /// `master_seed`. Unlike the `seed + i` / `seed ^ (v << k)` patterns it
 /// replaces, nearby streams yield uncorrelated generators, and for a fixed
 /// master_seed distinct streams never collide across parameter grids (the

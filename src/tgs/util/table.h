@@ -30,9 +30,6 @@ class Table {
   /// Write CSV to `path`; returns false on I/O failure.
   bool write_csv(const std::string& path) const;
 
-  std::size_t rows() const { return rows_.size(); }
-  std::size_t cols() const { return headers_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

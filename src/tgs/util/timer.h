@@ -10,15 +10,10 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  void reset() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction / last reset.
+  /// Seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Milliseconds elapsed.
-  double millis() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -73,16 +73,6 @@ TEST(RandomCore, FanoutMeanRoughlyHonored) {
   EXPECT_LT(mean_fanout, 20.0);
 }
 
-TEST(Rgbos, SuiteShape) {
-  const auto suite = rgbos_suite(1.0, 42);
-  ASSERT_EQ(suite.size(), 12u);  // 10..32 step 2
-  NodeId v = 10;
-  for (const auto& g : suite) {
-    EXPECT_EQ(g.num_nodes(), v);
-    v += 2;
-  }
-}
-
 TEST(Rgbos, DeterministicPerCell) {
   const TaskGraph a = rgbos_graph(10.0, 24, 42);
   const TaskGraph b = rgbos_graph(10.0, 24, 42);
@@ -103,12 +93,6 @@ TEST(Rgnos, WidthTracksParallelism) {
   const std::size_t w5 = layered_width(rgnos_graph(p));
   EXPECT_LT(w1, w5);
   EXPECT_GT(w5, 3 * std::sqrt(400.0));
-}
-
-TEST(Rgnos, SizeSuiteCoversParameterGrid) {
-  const auto suite = rgnos_size_suite(50, 11);
-  EXPECT_EQ(suite.size(), 25u);  // 5 CCRs x 5 parallelisms
-  for (const auto& g : suite) EXPECT_EQ(g.num_nodes(), 50u);
 }
 
 TEST(Rgnos, EveryNonEntryNodeHasParent) {
@@ -208,13 +192,12 @@ TEST(Rgpos, WidthGuardMakesPlantUniversal) {
   EXPECT_EQ(r.graph.total_weight(), static_cast<Cost>(p.num_procs) * lb);
 }
 
-TEST(Rgpos, SuiteShape) {
-  const auto suite = rgpos_suite(0.1, 4, 77);
-  ASSERT_EQ(suite.size(), 10u);
-  NodeId v = 50;
-  for (const auto& r : suite) {
+TEST(Rgpos, SuiteGraphShape) {
+  for (NodeId v = 50; v <= 500; v += 50) {
+    const RgposGraph r =
+        rgpos_suite_graph(0.1, v, 4, 77, /*width_guard=*/false);
     EXPECT_EQ(r.graph.num_nodes(), v);
-    v += 50;
+    EXPECT_EQ(r.num_procs, 4);
   }
 }
 

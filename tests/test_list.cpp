@@ -15,12 +15,6 @@ TEST(Priorities, DescendingOrderWithTies) {
   EXPECT_EQ(order, (std::vector<NodeId>{1, 0, 2, 3}));  // ties by id
 }
 
-TEST(Priorities, AscendingOrderWithTies) {
-  const std::vector<Time> key{4, 2, 4, 0};
-  const auto order = order_by_ascending(key);
-  EXPECT_EQ(order, (std::vector<NodeId>{3, 1, 0, 2}));
-}
-
 TEST(Priorities, ArgmaxPriority) {
   const std::vector<Time> prio{3, 7, 7, 2};
   EXPECT_EQ(argmax_priority({0, 1, 2, 3}, prio), 1u);  // tie 1 vs 2 -> 1

@@ -23,11 +23,9 @@ TEST(Metrics, PercentDegradation) {
   EXPECT_DOUBLE_EQ(percent_degradation(10, 0), 0.0);  // guarded
 }
 
-TEST(Metrics, SpeedupAndEfficiency) {
+TEST(Metrics, Speedup) {
   const TaskGraph g = independent_tasks(4, 10);  // serial 40
   EXPECT_DOUBLE_EQ(speedup(g, 10), 4.0);
-  EXPECT_DOUBLE_EQ(efficiency(g, 10, 4), 1.0);
-  EXPECT_DOUBLE_EQ(efficiency(g, 10, 8), 0.5);
 }
 
 TEST(Metrics, LowerBoundCombinesCpAndLoad) {

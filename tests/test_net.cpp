@@ -166,7 +166,7 @@ TEST(NetSchedule, ProbeArrivalAllMatchesPerDestination) {
     for (NodeId w = 1; w <= 40; ++w) {
       const int dst = static_cast<int>(rng.uniform_int(0, p - 1));
       if (dst != 0) ++committed;
-      ns.commit_message(0, w, dst);  // co-located commits are no-ops
+      ns.commit_parent_message(w, 0, dst);  // co-located: no message
     }
     ASSERT_GT(committed, 0);
     std::vector<Time> all(static_cast<std::size_t>(p));
@@ -188,14 +188,12 @@ TEST(NetSchedule, FindMessageIsKeyed) {
   const RoutingTable routes{Topology::ring(4)};
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  ns.commit_message(0, 1, 1);
+  ns.commit_parent_message(1, 0, 1);
   ASSERT_NE(ns.find_message(0, 1), nullptr);
   EXPECT_EQ(ns.find_message(0, 1)->src, 0u);
   EXPECT_EQ(ns.find_message(0, 1)->dst, 1u);
   EXPECT_EQ(ns.find_message(0, 2), nullptr);
   EXPECT_EQ(ns.find_message(1, 0), nullptr);  // direction matters
-  ns.release_message(0, 1);
-  EXPECT_EQ(ns.find_message(0, 1), nullptr);
 }
 
 TEST(NetSchedule, MessageHopsAndContention) {
@@ -206,15 +204,15 @@ TEST(NetSchedule, MessageHopsAndContention) {
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);  // fork on P0, finishes at 10
   // Both workers on P1: two messages 0->1 over the same link.
-  const Time a1 = ns.commit_message(0, 1, 1);
-  const Time a2 = ns.commit_message(0, 2, 1);
+  const Time a1 = ns.commit_parent_message(1, 0, 1);
+  const Time a2 = ns.commit_parent_message(2, 0, 1);
   EXPECT_EQ(a1, 18);  // depart 10 + 8
   EXPECT_EQ(a2, 26);  // serialized behind the first
   ns.tasks().place(1, 1, a1);
   ns.tasks().place(2, 1, 28);
   // Join back on P0.
-  const Time a3 = ns.commit_message(1, 3, 0);
-  const Time a4 = ns.commit_message(2, 3, 0);
+  const Time a3 = ns.commit_parent_message(3, 0, 0);  // 1 -> 3
+  const Time a4 = ns.commit_parent_message(3, 1, 0);  // 2 -> 3
   ns.tasks().place(3, 0, std::max(a3, a4));
   const auto v = validate_net_schedule(ns);
   EXPECT_TRUE(v.ok) << v.error;
@@ -226,7 +224,7 @@ TEST(NetSchedule, MultiHopStoreAndForward) {
   const RoutingTable routes(topo);
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  const Time arrival = ns.commit_message(0, 1, 3);
+  const Time arrival = ns.commit_parent_message(1, 0, 3);
   EXPECT_EQ(arrival, 10 + 3 * 6);
   ns.tasks().place(1, 3, arrival);
   EXPECT_TRUE(validate_net_schedule(ns).ok);
@@ -241,22 +239,8 @@ TEST(NetSchedule, ProbeMatchesCommitWhenUncontended) {
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
   const Time probe = ns.probe_arrival(0, 3, 6, 10);
-  const Time commit = ns.commit_message(0, 1, 3);
+  const Time commit = ns.commit_parent_message(1, 0, 3);
   EXPECT_EQ(probe, commit);
-}
-
-TEST(NetSchedule, ReleaseMessageFreesLinks) {
-  const TaskGraph g = chain_graph(2, 10, 6);
-  const Topology topo = Topology::ring(4);
-  const RoutingTable routes(topo);
-  NetSchedule ns(g, routes);
-  ns.tasks().place(0, 0, 0);
-  ns.commit_message(0, 1, 1);
-  EXPECT_EQ(ns.messages().size(), 1u);
-  ns.release_message(0, 1);
-  EXPECT_TRUE(ns.messages().empty());
-  const int link = topo.link_between(0, 1);
-  EXPECT_TRUE(ns.link_timeline(link).empty());
 }
 
 TEST(NetSchedule, CopyReadsItsOwnMessages) {
@@ -269,7 +253,7 @@ TEST(NetSchedule, CopyReadsItsOwnMessages) {
   auto original = std::make_unique<NetSchedule>(g, routes);
   original->tasks().place(0, 0, 0);
   for (NodeId w = 1; w <= 6; ++w)
-    original->commit_message(0, w, static_cast<int>(w % 4));
+    original->commit_parent_message(w, 0, static_cast<int>(w % 4));
   std::vector<std::pair<Time, std::size_t>> want;
   for (const Message& m : original->messages())
     want.emplace_back(m.arrival, m.hops.size());
@@ -308,7 +292,7 @@ TEST(NetValidate, CatchesEarlyStart) {
   const RoutingTable routes(topo);
   NetSchedule ns(g, routes);
   ns.tasks().place(0, 0, 0);
-  const Time arrival = ns.commit_message(0, 1, 1);
+  const Time arrival = ns.commit_parent_message(1, 0, 1);
   ns.tasks().place(1, 1, arrival - 1);  // starts before the message lands
   EXPECT_FALSE(validate_net_schedule(ns).ok);
 }

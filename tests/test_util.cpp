@@ -79,14 +79,6 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(99);
-  Rng child = a.split();
-  Rng a2(99);
-  Rng child2 = a2.split();
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(child(), child2());
-}
-
 TEST(Stats, AccumulatorBasics) {
   StatAccumulator acc;
   EXPECT_EQ(acc.count(), 0u);
@@ -96,20 +88,12 @@ TEST(Stats, AccumulatorBasics) {
   acc.add(6.0);
   EXPECT_EQ(acc.count(), 3u);
   EXPECT_DOUBLE_EQ(acc.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 6.0);
-  EXPECT_NEAR(acc.stddev(), 2.0, 1e-12);
 }
 
 TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({3, 1, 2}), 2.0);
   EXPECT_DOUBLE_EQ(median({4, 1, 2, 3}), 2.5);
   EXPECT_DOUBLE_EQ(median({}), 0.0);
-}
-
-TEST(Stats, GeomeanOfPowers) {
-  EXPECT_NEAR(geomean_of({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_NEAR(geomean_of({2.0, 2.0, 2.0}), 2.0, 1e-12);
 }
 
 TEST(Table, AsciiAlignsColumns) {
