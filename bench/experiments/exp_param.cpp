@@ -26,7 +26,6 @@
 #include "tgs/gen/rgpos.h"
 #include "tgs/harness/registry.h"
 #include "tgs/harness/runner.h"
-#include "tgs/optimal/bb_scheduler.h"
 #include "tgs/param/param_scheduler.h"
 #include "tgs/sched/metrics.h"
 #include "tgs/util/stats.h"
@@ -150,43 +149,16 @@ void run_param_sweep(const ExpContext& ctx) {
     if (rgbos) {
       const TaskGraph g = rgbos_graph(ccr, v, jc.master_seed);
       SchedWorkspace& ws = bind_workspace(g);
-      SchedOptions opt;  // unbounded, as table2 runs the UNC class
-      std::vector<RunResult> runs;
-      int ref_procs = 1;
-      Time best_heur = kTimeInf;
-      std::string best_name;
-      for (const std::string& name : names) {
-        runs.push_back(
-            run_scheduler(*make_scheduler(name), g, opt, ws));
-        ref_procs = std::max(ref_procs, runs.back().procs_used);
-        if (runs.back().length < best_heur) {
-          best_heur = runs.back().length;
-          best_name = name;
-        }
-      }
-      BBOptions bb;
-      bb.num_procs = ref_procs;
-      bb.time_limit_seconds = 0.0;
-      bb.max_nodes = bb_nodes;
-      bb.num_threads = bb_threads;
-      bb.initial_upper_bound = best_heur;
-      bb.initial_schedule = make_scheduler(best_name)->run(g, opt, ws);
-      const BBResult bbr = branch_and_bound(g, bb);
-      for (const RunResult& rr : runs) {
-        const double deg = percent_degradation(rr.length, bbr.length);
+      const SchedOptions opt;  // unbounded, as table2 runs the UNC class
+      const BBReference ref =
+          bb_reference(g, names, opt, ws, 1, bb_nodes, bb_threads);
+      for (const RunResult& rr : ref.runs) {
+        const double deg = percent_degradation(rr.length, ref.bb.length);
         Record rec = record_from_run(rr, pivot, v, deg);
-        rec.num.emplace_back("hit", rr.length <= bbr.length ? 1.0 : 0.0);
+        rec.num.emplace_back("hit", rr.length <= ref.bb.length ? 1.0 : 0.0);
         records.push_back(std::move(rec));
       }
-      Record ref;
-      ref.pivot = pivot;
-      ref.row = v;
-      ref.column = "optimal";
-      ref.value = static_cast<double>(bbr.length);
-      ref.num.emplace_back("proven", bbr.proven_optimal ? 1.0 : 0.0);
-      ref.num.emplace_back("bb_nodes",
-                           static_cast<double>(bbr.nodes_expanded));
-      records.push_back(std::move(ref));
+      records.push_back(optimal_record(pivot, v, ref.bb));
     } else {
       // width_guard: the plant is a universal lower bound.
       const RgposGraph r = rgpos_suite_graph(ccr, v, procs, jc.master_seed,
@@ -281,7 +253,7 @@ void run_param_sweep(const ExpContext& ctx) {
 }  // namespace
 
 void register_param_experiments(ExperimentRegistry& r) {
-  r.add({"param_sweep", "", "param",
+  r.add({"param_sweep", "param",
          "parameterized-scheduler crossproduct vs optimality references "
          "[--suite=rgbos|rgpos, --metric, --ready, --insertion, --cluster, "
          "--ccr, --max-v, --bb-nodes, --bb-threads, --procs, --top]",

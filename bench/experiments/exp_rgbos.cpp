@@ -8,7 +8,6 @@
 // (--bb-threads, default: the engine's --threads), whose results are
 // byte-identical at any thread count -- so the whole experiment stays
 // bit-identical at any --threads x --bb-threads combination.
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -16,7 +15,6 @@
 #include "tgs/gen/rgbos.h"
 #include "tgs/harness/registry.h"
 #include "tgs/harness/runner.h"
-#include "tgs/optimal/bb_scheduler.h"
 #include "tgs/sched/metrics.h"
 #include "tgs/util/stats.h"
 
@@ -59,47 +57,19 @@ void run_table_rgbos(const ExpContext& ctx, bool unc) {
     const std::string pivot = "ccr" + Table::fmt(ccr, 1);
     SchedWorkspace& ws = bind_workspace(g);
 
+    // Bounded BNP runs never use more than procs, so table3's reference
+    // searches on exactly procs processors.
     SchedOptions opt;
     if (!unc) opt.num_procs = procs;
-    std::vector<RunResult> runs;
-    int ref_procs = procs;
-    Time best_heur = kTimeInf;
-    std::string best_name;
-    for (const std::string& name : names) {
-      runs.push_back(run_scheduler(*make_scheduler(name), g, opt, ws));
-      ref_procs = std::max(ref_procs, runs.back().procs_used);
-      if (runs.back().length < best_heur) {
-        best_heur = runs.back().length;
-        best_name = name;
-      }
-    }
-
-    BBOptions bb;
-    bb.num_procs = unc ? ref_procs : procs;
-    bb.time_limit_seconds = 0.0;  // wall clock would break reproducibility
-    bb.max_nodes = bb_nodes;
-    bb.num_threads = bb_threads;  // round-synchronous: any value, same bytes
-    bb.initial_upper_bound = best_heur;
-    // Seeding the incumbent with the best heuristic's schedule guarantees
-    // the reference is never worse than the heuristics, even when the
-    // node budget runs dry before the search completes anything.
-    bb.initial_schedule = make_scheduler(best_name)->run(g, opt, ws);
-    const BBResult bbr = branch_and_bound(g, bb);
-    const Time reference = bbr.length;
+    const BBReference ref =
+        bb_reference(g, names, opt, ws, procs, bb_nodes, bb_threads);
 
     std::vector<Record> records;
-    for (const RunResult& rr : runs) {
-      const double deg = percent_degradation(rr.length, reference);
+    for (const RunResult& rr : ref.runs) {
+      const double deg = percent_degradation(rr.length, ref.bb.length);
       records.push_back(record_from_run(rr, pivot, v, deg));
     }
-    Record ref;
-    ref.pivot = pivot;
-    ref.row = v;
-    ref.column = "optimal";
-    ref.value = static_cast<double>(reference);
-    ref.num.emplace_back("proven", bbr.proven_optimal ? 1.0 : 0.0);
-    ref.num.emplace_back("bb_nodes", static_cast<double>(bbr.nodes_expanded));
-    records.push_back(std::move(ref));
+    records.push_back(optimal_record(pivot, v, ref.bb));
     return records;
   };
   run_sweep(sweep, ctx.seed, ctx.threads, job, sink);
@@ -155,11 +125,11 @@ void run_table3(const ExpContext& ctx) { run_table_rgbos(ctx, /*unc=*/false); }
 }  // namespace
 
 void register_rgbos_experiments(ExperimentRegistry& r) {
-  r.add({"table2", "table2_rgbos_unc", "rgbos",
+  r.add({"table2", "rgbos",
          "UNC %-degradation from B&B optima on RGBOS "
          "[--procs, --bb-nodes, --bb-threads, --max-v]",
          run_table2});
-  r.add({"table3", "table3_rgbos_bnp", "rgbos",
+  r.add({"table3", "rgbos",
          "BNP %-degradation from B&B optima on RGBOS "
          "[--procs, --bb-nodes, --bb-threads, --max-v]",
          run_table3});

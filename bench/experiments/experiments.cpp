@@ -19,7 +19,7 @@ void ExperimentRegistry::add(ExperimentDef def) {
 
 const ExperimentDef* ExperimentRegistry::find(const std::string& name) const {
   for (const ExperimentDef& d : defs_)
-    if (name == d.name || (!d.alias.empty() && name == d.alias)) return &d;
+    if (name == d.name) return &d;
   return nullptr;
 }
 
@@ -219,6 +219,46 @@ const RunResult& require_valid(const RunResult& r) {
   if (!r.valid)
     throw std::runtime_error("invalid " + r.algo + " schedule: " + r.error);
   return r;
+}
+
+BBReference bb_reference(const TaskGraph& g,
+                         const std::vector<std::string>& names,
+                         const SchedOptions& opt, SchedWorkspace& ws,
+                         int min_procs, std::uint64_t max_nodes,
+                         int bb_threads) {
+  BBReference ref;
+  int procs = min_procs;
+  Time best_heur = kTimeInf;
+  std::string best_name;
+  for (const std::string& name : names) {
+    ref.runs.push_back(run_scheduler(*make_scheduler(name), g, opt, ws));
+    procs = std::max(procs, ref.runs.back().procs_used);
+    if (ref.runs.back().length < best_heur) {
+      best_heur = ref.runs.back().length;
+      best_name = name;
+    }
+  }
+  BBOptions bb;
+  bb.num_procs = procs;
+  bb.time_limit_seconds = 0.0;  // wall clock would break reproducibility
+  bb.max_nodes = max_nodes;
+  bb.num_threads = bb_threads;
+  bb.initial_upper_bound = best_heur;
+  bb.initial_schedule = make_scheduler(best_name)->run(g, opt, ws);
+  ref.bb = branch_and_bound(g, bb);
+  return ref;
+}
+
+Record optimal_record(const std::string& pivot, NodeId row,
+                      const BBResult& bb) {
+  Record rec;
+  rec.pivot = pivot;
+  rec.row = row;
+  rec.column = "optimal";
+  rec.value = static_cast<double>(bb.length);
+  rec.num.emplace_back("proven", bb.proven_optimal ? 1.0 : 0.0);
+  rec.num.emplace_back("bb_nodes", static_cast<double>(bb.nodes_expanded));
+  return rec;
 }
 
 SchedWorkspace& bind_workspace(const TaskGraph& g) {

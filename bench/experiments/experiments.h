@@ -25,6 +25,7 @@
 #include "tgs/exec/sweep.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/harness/runner.h"
+#include "tgs/optimal/bb_scheduler.h"
 #include "tgs/util/cli.h"
 #include "tgs/util/table.h"
 
@@ -54,7 +55,6 @@ using ExpRunFn = void (*)(const ExpContext&);
 
 struct ExperimentDef {
   std::string name;
-  std::string alias;  // retired standalone-binary name ("" = none)
   std::string family;
   std::string description;  // one line, includes experiment-specific flags
   ExpRunFn run = nullptr;
@@ -63,7 +63,7 @@ struct ExperimentDef {
 class ExperimentRegistry {
  public:
   void add(ExperimentDef def);
-  /// Lookup by name or legacy alias; nullptr when unknown.
+  /// Lookup by name; nullptr when unknown.
   const ExperimentDef* find(const std::string& name) const;
   const std::vector<ExperimentDef>& all() const { return defs_; }
 
@@ -152,6 +152,30 @@ RgnosJobGraph rgnos_graph_at(const JobContext& jc, const SweepPoint& pt,
 /// silently into the averages -- the retired table6 binary hard-failed
 /// on this.
 const RunResult& require_valid(const RunResult& r);
+
+/// The heuristic runs of one graph and the optimal reference they seed
+/// (paper §5.2).
+struct BBReference {
+  std::vector<RunResult> runs;  // one per name, in order
+  BBResult bb;
+};
+
+/// Run every `names` algorithm on `g` with `opt`, then search a reference
+/// with the node-budgeted, round-synchronous branch and bound (no wall
+/// clock, so the bytes are the same at any --threads x --bb-threads) on
+/// max(min_procs, most processors any run used) processors. The search is
+/// seeded with the best heuristic's length and schedule, so the reference
+/// is never worse than the heuristics even when the budget runs dry.
+BBReference bb_reference(const TaskGraph& g,
+                         const std::vector<std::string>& names,
+                         const SchedOptions& opt, SchedWorkspace& ws,
+                         int min_procs, std::uint64_t max_nodes,
+                         int bb_threads);
+
+/// The "optimal" column of a B&B reference: its length, proven flag and
+/// nodes expanded.
+Record optimal_record(const std::string& pivot, NodeId row,
+                      const BBResult& bb);
 
 /// Thread-local scheduling workspace, rebound to `g`. Call once per
 /// generated graph inside a job and pass the result to every

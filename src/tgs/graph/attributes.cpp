@@ -57,19 +57,15 @@ std::vector<Time> static_levels(const TaskGraph& g) {
 }
 
 Time critical_path_length(const TaskGraph& g) {
-  const auto b = b_levels(g);
-  Time best = 0;
-  for (NodeId e : g.entry_nodes()) best = std::max(best, b[e]);
-  return best;
+  GraphAttributeCache cache;
+  cache.bind(g);
+  return cache.critical_path_length();
 }
 
 std::vector<Time> alap_times(const TaskGraph& g) {
-  const auto b = b_levels(g);
-  Time cp = 0;
-  for (NodeId e : g.entry_nodes()) cp = std::max(cp, b[e]);
-  std::vector<Time> alap(g.num_nodes());
-  for (NodeId i = 0; i < g.num_nodes(); ++i) alap[i] = cp - b[i];
-  return alap;
+  GraphAttributeCache cache;
+  cache.bind(g);
+  return cache.alap_times();
 }
 
 std::vector<NodeId> critical_path(const TaskGraph& g) {
@@ -110,17 +106,8 @@ Cost path_computation_cost(const TaskGraph& g,
 }
 
 Time computation_critical_path_length(const TaskGraph& g) {
-  std::vector<Time> down(g.num_nodes(), 0);
-  const auto& topo = g.topological_order();
-  Time best = 0;
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    Time kid = 0;
-    for (const Adj& c : g.children(u)) kid = std::max(kid, down[c.node]);
-    down[u] = g.weight(u) + kid;
-    best = std::max(best, down[u]);
-  }
-  return best;
+  const std::vector<Time> sl = static_levels(g);
+  return sl.empty() ? 0 : *std::max_element(sl.begin(), sl.end());
 }
 
 void GraphAttributeCache::bind(const TaskGraph& g) {

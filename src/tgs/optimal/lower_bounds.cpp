@@ -3,17 +3,16 @@
 #include <algorithm>
 
 #include "tgs/graph/attributes.h"
+#include "tgs/sched/metrics.h"
 
 namespace tgs {
 
 LowerBounds::LowerBounds(const TaskGraph& g, int num_procs)
-    : graph_(&g), num_procs_(num_procs), sl_nc_(static_levels(g)) {
-  const Time cp = computation_critical_path_length(g);
-  const Time load =
-      (g.total_weight() + num_procs - 1) / static_cast<Time>(num_procs);
-  static_bound_ = std::max(cp, load);
-  est_.resize(g.num_nodes());
-}
+    : graph_(&g),
+      num_procs_(num_procs),
+      sl_nc_(static_levels(g)),
+      static_bound_(schedule_length_lower_bound(g, num_procs)),
+      est_(g.num_nodes()) {}
 
 Time LowerBounds::evaluate(const Schedule& s,
                            std::vector<Time>& est_scratch) const {

@@ -91,4 +91,19 @@ Time Schedule::est(NodeId n, ProcId p, bool insertion) const {
   return earliest_start_on(p, data_ready(n, p), graph_->weight(n), insertion);
 }
 
+void Schedule::pinned_t_levels(std::vector<Time>& t) const {
+  const TaskGraph& g = *graph_;
+  t.assign(g.num_nodes(), 0);
+  for (NodeId u : g.topological_order()) {
+    if (proc_[u] != kNoProc) {
+      t[u] = start_[u];
+      continue;
+    }
+    Time best = 0;
+    for (const Adj& par : g.parents(u))
+      best = std::max(best, t[par.node] + g.weight(par.node) + par.cost);
+    t[u] = best;
+  }
+}
+
 }  // namespace tgs

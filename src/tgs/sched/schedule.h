@@ -29,7 +29,7 @@ class Schedule {
   /// processor-time overlap.
   void place(NodeId n, ProcId p, Time start);
 
-  /// Remove a placed task (used by migrating / backtracking algorithms).
+  /// Remove a placed task (branch and bound backtracks with it).
   void unplace(NodeId n);
 
   /// Become a copy of `src` (same graph) holding only the tasks n with
@@ -72,6 +72,12 @@ class Schedule {
 
   /// Convenience: earliest start of task n on p = fit(data_ready, w(n)).
   Time est(NodeId n, ProcId p, bool insertion) const;
+
+  /// t-levels of the partial schedule into `t` (one entry per task): a
+  /// placed task is pinned at its start; an unplaced one gets the max over
+  /// its parents of t + w + c, the edge cost kept because its processor is
+  /// not known yet. MD's and DCP's per-step estimate.
+  void pinned_t_levels(std::vector<Time>& t) const;
 
  private:
   void ensure_proc(ProcId p);

@@ -8,7 +8,7 @@
 //  * GraphAttributeCache -- static levels / b-levels / ALAP computed at
 //    most once per graph and shared by every algorithm run with this
 //    workspace (HLFET, ISH, LAST, ETF, DLS and DLS-APN all want static
-//    levels; MCP wants ALAP; DSC wants b-levels).
+//    levels; MCP wants ALAP; DSC, MD and DCP want b-levels).
 //  * PairScratch -- the flat per-node pools of the incremental
 //    (ready node, processor) pair selectors (bnp/bnp_common.h). Stored
 //    behind a pointer so sched/ does not include bnp/ headers.

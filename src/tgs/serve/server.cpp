@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <new>
+#include <optional>
 #include <utility>
 
 #include "tgs/exec/jsonl.h"
@@ -25,8 +26,7 @@ int resolve_workers(int requested) {
   return hw == 0 ? 2 : static_cast<int>(hw);
 }
 
-/// One thread-local workspace per scheduler worker (and per reader thread
-/// that happens to compute -- there are none today). begin_graph() is
+/// One thread-local workspace per scheduler worker. begin_graph() is
 /// called per request: every request carries a fresh graph object.
 SchedWorkspace& worker_workspace(const TaskGraph& g) {
   static thread_local SchedWorkspace ws;
@@ -62,16 +62,19 @@ struct Server::ConnCtx {
 };
 
 /// A schedule request after reader-side resolution: graph parsed and
-/// fingerprinted, algorithm resolved against the right registry, cache key
-/// built. Everything a worker needs, immutable from here on. The graph
-/// text is not kept: a queued request holds only its parsed graph.
+/// fingerprinted, topology parsed, scheduler built from the right
+/// registry, cache key built. Everything a worker needs, immutable from
+/// here on. The graph text is not kept: a queued request holds only its
+/// parsed graph.
 struct Server::ResolvedRequest {
   std::string id;
-  std::string topology;
   int procs = 0;
   bool want_schedule = false;
   bool use_cache = true;
   std::shared_ptr<const TaskGraph> graph;
+  std::optional<Topology> topology;  // set iff is_apn
+  ApnSchedulerPtr apn_algo;          // set iff is_apn
+  SchedulerPtr algo;                 // set iff !is_apn
   std::string resolved_algo;  // registry spelling ("DLS", not "DLS-APN")
   std::string algo_class;     // "BNP" / "UNC" / "APN"
   std::string cache_key;
@@ -232,7 +235,6 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
 
   auto rr = std::make_shared<ResolvedRequest>();
   rr->id = req.id;
-  rr->topology = req.topology;
   rr->procs = req.procs;
   rr->want_schedule = req.want_schedule;
   rr->use_cache = req.use_cache;
@@ -259,22 +261,22 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
   }
   if (rr->is_apn) {
     try {
-      Topology::from_spec(req.topology);  // validated here, built by worker
+      rr->topology = Topology::from_spec(req.topology);
     } catch (const std::exception& e) {
       return reply_error(ServeError::kBadTopology, e.what());
     }
     try {
-      const ApnSchedulerPtr algo = make_apn_scheduler(req.algo);
-      rr->resolved_algo = algo->name();
+      rr->apn_algo = make_apn_scheduler(req.algo);
+      rr->resolved_algo = rr->apn_algo->name();
       rr->algo_class = "APN";
     } catch (const std::exception& e) {
       return reply_error(ServeError::kUnknownAlgo, e.what());
     }
   } else {
     try {
-      const SchedulerPtr algo = make_scheduler(req.algo);
-      rr->resolved_algo = algo->name();
-      rr->algo_class = algo_class_name(algo->algo_class());
+      rr->algo = make_scheduler(req.algo);
+      rr->resolved_algo = rr->algo->name();
+      rr->algo_class = algo_class_name(rr->algo->algo_class());
     } catch (const std::exception& e) {
       return reply_error(ServeError::kUnknownAlgo, e.what());
     }
@@ -358,19 +360,17 @@ void Server::handle_schedule(const std::shared_ptr<ConnCtx>& ctx,
           ws.deadline().arm(rr->deadline);
         }
         if (rr->is_apn) {
-          const RoutingTable routes(Topology::from_spec(rr->topology));
-          const ApnSchedulerPtr algo = make_apn_scheduler(rr->resolved_algo);
-          NetSchedule ns = algo->run(*rr->graph, routes, ws);
+          const RoutingTable routes(*rr->topology);
+          NetSchedule ns = rr->apn_algo->run(*rr->graph, routes, ws);
           result.makespan = ns.makespan();
           result.nsl = normalized_schedule_length(*rr->graph, ns.makespan());
           result.procs_used = ns.tasks().procs_used();
           result.num_messages = ns.num_messages();
           result.schedule_text = schedule_to_string(ns.tasks());
         } else {
-          const SchedulerPtr algo = make_scheduler(rr->resolved_algo);
           SchedOptions opt;
           opt.num_procs = rr->procs;
-          Schedule s = algo->run(*rr->graph, opt, ws);
+          Schedule s = rr->algo->run(*rr->graph, opt, ws);
           result.makespan = s.makespan();
           result.nsl = normalized_schedule_length(s);
           result.procs_used = s.procs_used();

@@ -6,9 +6,9 @@
 //   max(processor available time, data-ready time)
 // with communication zeroed inside a cluster. This is the evaluation EZ
 // repeats after every tentative merge and Sarkar's mapping after every
-// (cluster, processor) trial (both through ClusterEvaluator), the final
-// materialization for LC, and the execution-ordering step of the UNC+CS
-// mapping extension.
+// (cluster, processor) trial (both through ClusterEvaluator), and the
+// final materialization of bounded DSC's folded clusters and of the
+// Sarkar and RCP mappings of the UNC+CS extension.
 #pragma once
 
 #include <cstddef>

@@ -2,57 +2,27 @@
 
 #include <algorithm>
 
-#include "tgs/graph/attributes.h"
+#include "tgs/bnp/bnp_common.h"
 #include "tgs/list/ready_list.h"
 
 namespace tgs {
-
-namespace {
-
-void pinned_aest(const TaskGraph& g, const Schedule& s, std::vector<Time>& t) {
-  t.assign(g.num_nodes(), 0);
-  for (NodeId u : g.topological_order()) {
-    if (s.is_placed(u)) {
-      t[u] = s.start(u);
-      continue;
-    }
-    Time best = 0;
-    for (const Adj& par : g.parents(u)) {
-      const Time ft = t[par.node] + g.weight(par.node);
-      // Communication is zeroed only between co-located placed pairs; for
-      // a not-yet-placed child the cost must be assumed.
-      best = std::max(best, ft + par.cost);
-    }
-    t[u] = best;
-  }
-}
-
-void comm_b_levels(const TaskGraph& g, std::vector<Time>& b) {
-  b.assign(g.num_nodes(), 0);
-  const auto& topo = g.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    Time best = 0;
-    for (const Adj& c : g.children(u)) best = std::max(best, c.cost + b[c.node]);
-    b[u] = g.weight(u) + best;
-  }
-}
-
-}  // namespace
 
 Schedule DcpScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                               SchedWorkspace& ws) const {
   const int limit = effective_procs(g, opt);
   Schedule sched(g, limit);
+  ProcScanner scanner(limit);
   ReadyList ready(g);
-  int used = 0;
 
-  std::vector<Time> aest, bl;
-  comm_b_levels(g, bl);  // invariant under our pinning scheme
+  // AEST pins placed nodes and assumes every edge cost for unplaced ones
+  // (communication is zeroed only between co-located placed pairs), so the
+  // b-level is invariant under the pinning.
+  const std::vector<Time>& bl = ws.attrs().b_levels();
+  std::vector<Time> aest;
 
   while (!ready.empty()) {
     ws.deadline().poll();
-    pinned_aest(g, sched, aest);
+    sched.pinned_t_levels(aest);
     Time cpl = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u)
       cpl = std::max(cpl, aest[u] + bl[u]);
@@ -92,9 +62,7 @@ Schedule DcpScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
       std::sort(related.begin(), related.end());
       for (ProcId p : related) add_cand(p);
     }
-    for (ProcId p = 0; p < static_cast<ProcId>(used); ++p) add_cand(p);
-    if (used < limit) add_cand(static_cast<ProcId>(used));
-    if (cand.empty()) add_cand(0);
+    for (ProcId p = 0; p < scanner.scan_count(); ++p) add_cand(p);
 
     // Critical child: unplaced child with minimum slack (ties smaller id),
     // used for the one-step lookahead.
@@ -143,7 +111,7 @@ Schedule DcpScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     }
 
     sched.place(n, best_p, best_start);
-    used = std::max(used, static_cast<int>(best_p) + 1);
+    scanner.note_placement(best_p);
     ready.mark_scheduled(n);
   }
   return sched;

@@ -7,7 +7,8 @@
 // partially scheduled graph; nodes with AEST == ALST form the dynamic
 // critical path. The node with minimum slack (ALST - AEST) is selected
 // (ties: smaller ALST). Candidate processors are those holding the node's
-// placed parents/children plus one fresh processor; the winner minimizes
+// placed parents/children, then the other processors in use, then one
+// fresh processor; the winner minimizes
 // the composite objective
 //     start(n, p) + lookahead-start(critical child of n, p)
 // with insertion. On ties the earliest candidate in order (parents'

@@ -3,47 +3,9 @@
 #include <algorithm>
 
 #include "tgs/bnp/bnp_common.h"
-#include "tgs/graph/attributes.h"
 #include "tgs/list/ready_list.h"
 
 namespace tgs {
-
-namespace {
-
-// tlevel' with placed nodes pinned at their start times; cross-cluster
-// communication kept for unplaced successors (placement unknown).
-void pinned_t_levels(const TaskGraph& g, const Schedule& s,
-                     std::vector<Time>& t) {
-  t.assign(g.num_nodes(), 0);
-  for (NodeId u : g.topological_order()) {
-    if (s.is_placed(u)) {
-      t[u] = s.start(u);
-      continue;
-    }
-    Time best = 0;
-    for (const Adj& par : g.parents(u)) {
-      // Placed parent: exact finish; unplaced: estimated via its tlevel'.
-      const Time ft = t[par.node] + g.weight(par.node);
-      best = std::max(best, ft + par.cost);
-    }
-    t[u] = best;
-  }
-}
-
-// blevel' on the unmodified graph (edge costs kept); placements do not
-// shorten it because successors' processors are unknown.
-void full_b_levels(const TaskGraph& g, std::vector<Time>& b) {
-  b.assign(g.num_nodes(), 0);
-  const auto& topo = g.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    Time best = 0;
-    for (const Adj& c : g.children(u)) best = std::max(best, c.cost + b[c.node]);
-    b[u] = g.weight(u) + best;
-  }
-}
-
-}  // namespace
 
 Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
                              SchedWorkspace& ws) const {
@@ -52,12 +14,15 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   ProcScanner scanner(limit);
   ReadyList ready(g);
 
-  std::vector<Time> t, b;
-  full_b_levels(g, b);  // static under our estimate; computed once
+  // tlevel' pins placed nodes at their starts and keeps cross-cluster
+  // communication for unplaced ones; blevel' is the plain b-level, since
+  // placements cannot shorten it while successors' processors are unknown.
+  const std::vector<Time>& b = ws.attrs().b_levels();
+  std::vector<Time> t;
 
   while (!ready.empty()) {
     ws.deadline().poll();
-    pinned_t_levels(g, sched, t);
+    sched.pinned_t_levels(t);
     Time L = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u) L = std::max(L, t[u] + b[u]);
 

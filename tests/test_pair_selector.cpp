@@ -23,6 +23,9 @@
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
 #include "tgs/sched/workspace.h"
+#include "tgs/unc/dcp.h"
+#include "tgs/unc/dsc.h"
+#include "tgs/unc/md.h"
 
 namespace tgs {
 namespace {
@@ -226,6 +229,17 @@ TEST(PairSelector, WorkspaceReuseIsObservationallyInert) {
                      "shared-vs-fresh ETF");
     expect_identical(DlsScheduler().run(g, {}), DlsScheduler().run(g, {}, shared),
                      "shared-vs-fresh DLS");
+    // MD and DCP read the cached b-levels; DSC has already filled them.
+    DscScheduler().run(g, {}, shared);
+    for (const int procs : {0, 3}) {
+      SchedOptions opt;
+      opt.num_procs = procs;
+      expect_identical(MdScheduler().run(g, opt),
+                       MdScheduler().run(g, opt, shared), "shared-vs-fresh MD");
+      expect_identical(DcpScheduler().run(g, opt),
+                       DcpScheduler().run(g, opt, shared),
+                       "shared-vs-fresh DCP");
+    }
   }
 }
 

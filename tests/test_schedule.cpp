@@ -1,6 +1,8 @@
 // Unit tests for sched/schedule.h and sched/validate.h.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tgs/gen/psg.h"
 #include "tgs/gen/structured.h"
 #include "tgs/sched/gantt.h"
@@ -71,6 +73,28 @@ TEST(Schedule, EstUsesInsertionWhenAsked) {
   s.place(1, 0, 30);  // gap [10, 30)
   EXPECT_EQ(s.est(2, 0, /*insertion=*/true), 10);
   EXPECT_EQ(s.est(2, 0, /*insertion=*/false), 40);
+}
+
+TEST(Schedule, PinnedTLevelsPinPlacedAndKeepEdgeCosts) {
+  // 0 -> 1 -> 2 with edge costs 5 and 2; 3 is an isolated entry.
+  TaskGraphBuilder b("pinned");
+  b.add_node(10);
+  b.add_node(20);
+  b.add_node(3);
+  b.add_node(6);
+  b.add_edge(0, 1, 5);
+  b.add_edge(1, 2, 2);
+  const TaskGraph g = b.finalize();
+  Schedule s(g, 2);
+  s.place(0, 0, 4);
+  s.place(3, 1, 50);
+  std::vector<Time> t(7, -1);  // stale contents are overwritten
+  s.pinned_t_levels(t);
+  ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t[0], 4);   // placed: its start, not its t-level 0
+  EXPECT_EQ(t[3], 50);
+  EXPECT_EQ(t[1], 4 + 10 + 5);  // the edge cost stays: 1 has no processor
+  EXPECT_EQ(t[2], 19 + 20 + 2);
 }
 
 TEST(Schedule, GrowsProcessorsOnDemand) {
