@@ -3,7 +3,9 @@
 //
 // The *_Naive benchmarks run the retired exhaustive pair-selection loops
 // kept in tests/reference_schedulers.h (BM_Ez_Original likewise runs the
-// frozen EZ of tests/reference_named.h, BM_Graph_Parse_Reference and
+// frozen EZ of tests/reference_named.h, BM_Md_Reference and
+// BM_Dcp_Reference the full-pass MD and DCP of tests/reference_unc.h,
+// BM_Graph_Parse_Reference and
 // BM_Request_Ingress_Reference the frozen tgs1 reader and JSON parser of
 // tests/reference_graph_io.h), so the
 // incremental-vs-naive speedup of one build is measured inside one
@@ -23,6 +25,7 @@
 #include "reference_named.h"
 #include "reference_schedulers.h"
 #include "reference_timeline.h"
+#include "reference_unc.h"
 #include "tgs/apn/bsa.h"
 #include "tgs/apn/dls_apn.h"
 #include "tgs/apn/mh.h"
@@ -32,6 +35,7 @@
 #include "tgs/bnp/ish.h"
 #include "tgs/bnp/mcp.h"
 #include "tgs/exec/jsonl.h"
+#include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/gen/traced.h"
@@ -41,10 +45,13 @@
 #include "tgs/list/ready_list.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
+#include "tgs/optimal/bb_scheduler.h"
 #include "tgs/sched/timeline.h"
 #include "tgs/sched/workspace.h"
 #include "tgs/serve/protocol.h"
+#include "tgs/unc/dcp.h"
 #include "tgs/unc/ez.h"
+#include "tgs/unc/md.h"
 #include "tgs/util/mem.h"
 
 namespace tgs {
@@ -192,6 +199,70 @@ void BM_Ez_Original(benchmark::State& state) {
     benchmark::DoNotOptimize(reference::original_ez(g).makespan());
 }
 BENCHMARK(BM_Ez_Original)->Arg(500);
+
+// MD and DCP: one selection per task over the pinned t-levels of the
+// partial schedule, kept current by PinnedLevels (only the placed task's
+// changed descendants are re-evaluated). The _Reference rows run the
+// frozen full-pass bodies of tests/reference_unc.h, which recompute every
+// level with Schedule::pinned_t_levels before each selection.
+void BM_Md(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(MdScheduler().run(g, {}, ws).makespan());
+}
+BENCHMARK(BM_Md)->Arg(500);
+
+void BM_Md_Reference(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::original_md(g, {}).makespan());
+}
+BENCHMARK(BM_Md_Reference)->Arg(500);
+
+void BM_Dcp(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(DcpScheduler().run(g, {}, ws).makespan());
+}
+BENCHMARK(BM_Dcp)->Arg(500);
+
+void BM_Dcp_Reference(benchmark::State& state) {
+  const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(reference::original_dcp(g, {}).makespan());
+}
+BENCHMARK(BM_Dcp_Reference)->Arg(500);
+
+// ------------------------------------------------------- branch and bound --
+
+// One table2 instance (RGBOS CCR 1, v = 24, table2's seed 1998) searched
+// single-threaded under a fixed node budget, seeded like table2's
+// reference with DCP's schedule. The search is deterministic, so the
+// `nodes` counter is the same on every run and real_time / nodes is the
+// cost of one node.
+void BM_BB_Rgbos(benchmark::State& state) {
+  const TaskGraph g = rgbos_graph(1.0, 24, 1998);
+  const Schedule dcp = DcpScheduler().run(g, {});
+  BBOptions opt;
+  opt.num_procs = dcp.procs_used();
+  opt.num_threads = 1;
+  opt.time_limit_seconds = 0.0;
+  opt.max_nodes = static_cast<std::uint64_t>(state.range(0));
+  opt.initial_upper_bound = dcp.makespan();
+  opt.initial_schedule = dcp;
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    const BBResult r = branch_and_bound(g, opt);
+    nodes = r.nodes_expanded;
+    benchmark::DoNotOptimize(r.length);
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_BB_Rgbos)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ giant tier --
 

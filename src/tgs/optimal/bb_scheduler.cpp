@@ -11,6 +11,7 @@
 #include "tgs/exec/thread_pool.h"
 #include "tgs/graph/attributes.h"
 #include "tgs/optimal/lower_bounds.h"
+#include "tgs/sched/pinned_levels.h"
 #include "tgs/util/timer.h"
 
 namespace tgs {
@@ -100,13 +101,18 @@ class SubtreeSearch {
                 std::size_t seen_cap)
       : cfg_(&cfg),
         sched_(*cfg.g, cfg.num_procs),
-        order_key_(&cfg.bounds->static_levels_nocomm()),
+        levels_(*cfg.g, PinnedLevels::EdgeCosts::kZero),
+        sl_nc_(&cfg.bounds->static_levels_nocomm()),
         seen_cap_(seen_cap) {
     const TaskGraph& g = *cfg_->g;
     indeg_.resize(g.num_nodes());
     for (NodeId n = 0; n < g.num_nodes(); ++n) indeg_[n] = g.num_parents(n);
     for (NodeId n = 0; n < g.num_nodes(); ++n)
       if (indeg_[n] == 0) ready_.push_back(n);
+    Time cp = 0;
+    for (NodeId n = 0; n < g.num_nodes(); ++n)
+      cp = std::max(cp, levels_[n] + (*sl_nc_)[n]);
+    cp_.push_back(cp);
     for (const auto& [n, p] : prefix.moves) apply(n, p);
   }
 
@@ -122,13 +128,13 @@ class SubtreeSearch {
       ++spent;
       if (expandable()) push_frame(kNoNode);
     }
-    while (!stack_.empty()) {
+    while (depth_ > 0) {
       if (cfg_->stop->load(std::memory_order_relaxed)) return;
-      Frame& f = stack_.back();
+      Frame& f = frames_[depth_ - 1];
       if (f.next >= f.branches.size()) {
         const NodeId via = f.entered_via;
-        stack_.pop_back();
-        if (!stack_.empty()) undo(via);
+        --depth_;
+        if (depth_ > 0) undo(via);
         continue;
       }
       if (spent >= budget) return;  // paused; the next round resumes here
@@ -153,14 +159,15 @@ class SubtreeSearch {
   const Schedule& schedule() const { return sched_; }
 
   /// Ready tasks by descending comm-free static level (ties: smaller id)
-  /// -- the branching order of both the frontier split and the DFS.
-  std::vector<NodeId> ready_by_priority() const {
-    std::vector<NodeId> tasks(ready_.begin(), ready_.end());
-    std::sort(tasks.begin(), tasks.end(), [this](NodeId a, NodeId b) {
-      const Time ka = (*order_key_)[a], kb = (*order_key_)[b];
+  /// -- the branching order of both the frontier split and the DFS. The
+  /// result lives in a reused buffer until the next call.
+  const std::vector<NodeId>& ready_by_priority() {
+    prio_.assign(ready_.begin(), ready_.end());
+    std::sort(prio_.begin(), prio_.end(), [this](NodeId a, NodeId b) {
+      const Time ka = (*sl_nc_)[a], kb = (*sl_nc_)[b];
       return ka != kb ? ka > kb : a < b;
     });
-    return tasks;
+    return prio_;
   }
 
  private:
@@ -184,6 +191,13 @@ class SubtreeSearch {
     const Time start = sched_.earliest_start_on(p, ready_t, cfg_->g->weight(n),
                                                 /*insertion=*/true);
     sched_.place(n, p, start);
+    // start >= every parent's finish, the comm-free level n had before, so
+    // the placement only raises levels: the new critical-path bound is the
+    // old one or a level this placement wrote.
+    Time cp = cp_.back();
+    for (const NodeId u : levels_.place(n, start))
+      cp = std::max(cp, levels_[u] + (*sl_nc_)[u]);
+    cp_.push_back(cp);
     hash_.toggle(n, p, start);
     ready_.erase(std::find(ready_.begin(), ready_.end(), n));
     for (const Adj& c : cfg_->g->children(n))
@@ -198,6 +212,8 @@ class SubtreeSearch {
     }
     ready_.push_back(n);
     hash_.toggle(n, sched_.proc(n), sched_.start(n));
+    levels_.unplace(n);
+    cp_.pop_back();
     sched_.unplace(n);
   }
 
@@ -218,7 +234,8 @@ class SubtreeSearch {
       return false;
     }
     if (!cfg_->disable_bounds) {
-      if (cfg_->bounds->evaluate(sched_, lb_scratch_) >= bound()) return false;
+      if (cfg_->bounds->combine(cp_.back(), sched_.makespan()) >= bound())
+        return false;
       // Duplicate-state elimination: different placement orders reaching
       // the same (task, proc, start) map have identical futures. Safe to
       // skip: the first visit ran under an equal-or-worse incumbent and
@@ -233,12 +250,17 @@ class SubtreeSearch {
 
   /// Branch list of the current state: every (ready task, processor) pair,
   /// tasks by descending level, processors by ascending start (stable),
-  /// empty-processor symmetry collapsed.
+  /// empty-processor symmetry collapsed. Frames below the stack top keep
+  /// their branch buffers for the next push at that depth.
   void push_frame(NodeId via) {
-    Frame f;
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    Frame& f = frames_[depth_++];
+    f.branches.clear();
+    f.next = 0;
     f.entered_via = via;
+    std::vector<Branch>& br = f.branches;
     for (NodeId n : ready_by_priority()) {
-      const std::size_t first = f.branches.size();
+      const std::size_t first = br.size();
       bool empty_seen = false;
       for (ProcId p = 0; p < cfg_->num_procs; ++p) {
         if (sched_.timeline(p).empty()) {
@@ -248,28 +270,29 @@ class SubtreeSearch {
         const Time ready_t = sched_.data_ready(n, p);
         const Time start = sched_.earliest_start_on(
             p, ready_t, cfg_->g->weight(n), /*insertion=*/true);
-        f.branches.push_back({n, p, start});
+        // Stable insertion by start: at most p entries, no buffer.
+        std::size_t j = br.size();
+        br.push_back({n, p, start});
+        for (; j > first && br[j - 1].start > start; --j) br[j] = br[j - 1];
+        br[j] = {n, p, start};
       }
-      std::stable_sort(
-          f.branches.begin() + static_cast<std::ptrdiff_t>(first),
-          f.branches.end(),
-          [](const Branch& a, const Branch& b) { return a.start < b.start; });
     }
-    stack_.push_back(std::move(f));
   }
 
   const SearchCfg* cfg_;
   Schedule sched_;
+  PinnedLevels levels_;  // comm-free pinned t-levels
+  std::vector<Time> cp_;  // critical-path bound after each placement
   std::vector<std::size_t> indeg_;
   std::vector<NodeId> ready_;
-  const std::vector<Time>* order_key_;
+  std::vector<NodeId> prio_;  // ready_by_priority() buffer
+  const std::vector<Time>* sl_nc_;  // comm-free static levels
   StateHash hash_;
   std::size_t seen_cap_;
   std::unordered_set<StateHash, StateHashHasher> seen_;
-  std::vector<Time> lb_scratch_;  // per-subtree: evaluate() is not
-                                  // thread-safe on a shared buffer
 
-  std::vector<Frame> stack_;
+  std::vector<Frame> frames_;  // [0, depth_) is the DFS stack
+  std::size_t depth_ = 0;
   bool started_ = false;
   bool exhausted_ = false;
   std::uint64_t nodes_ = 0;
@@ -323,7 +346,7 @@ BBResult branch_and_bound(const TaskGraph& g, const BBOptions& opt) {
   while (head < frontier.size() &&
          frontier.size() - head < kTargetFrontier) {
     const Prefix pre = std::move(frontier[head++]);
-    const SubtreeSearch probe(cfg, pre, /*seen_cap=*/0);
+    SubtreeSearch probe(cfg, pre, /*seen_cap=*/0);
     if (probe.ready().empty()) {
       const Time len = probe.schedule().makespan();
       if (len < incumbent) {

@@ -76,7 +76,8 @@ class Schedule {
   /// t-levels of the partial schedule into `t` (one entry per task): a
   /// placed task is pinned at its start; an unplaced one gets the max over
   /// its parents of t + w + c, the edge cost kept because its processor is
-  /// not known yet. MD's and DCP's per-step estimate.
+  /// not known yet. The full pass PinnedLevels keeps current
+  /// incrementally (sched/pinned_levels.h); tests use it as the oracle.
   void pinned_t_levels(std::vector<Time>& t) const;
 
  private:

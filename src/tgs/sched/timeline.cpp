@@ -114,6 +114,7 @@ void Timeline::erase_interval(std::size_t c, std::size_t pos) {
   ivs.erase(ivs.begin() + static_cast<std::ptrdiff_t>(pos));
   --size_;
   if (ivs.empty()) {
+    spare_ = std::move(ivs);
     chunks_.erase(chunks_.begin() + static_cast<std::ptrdiff_t>(c));
     rebuild_tree();
   } else {
@@ -184,7 +185,8 @@ bool Timeline::fits(Time start, Cost dur) const {
 
 void Timeline::occupy(std::int64_t owner, Time start, Cost dur) {
   if (chunks_.empty()) {
-    chunks_.push_back(Chunk{{Interval{start, start + dur, owner}}, 0});
+    spare_.push_back(Interval{start, start + dur, owner});
+    chunks_.push_back(Chunk{std::move(spare_), 0});
     size_ = 1;
     end_time_ = start + dur;
     rebuild_tree();
@@ -299,13 +301,6 @@ std::vector<Interval> Timeline::intervals() const {
   for (const Chunk& c : chunks_)
     flat.insert(flat.end(), c.ivs.begin(), c.ivs.end());
   return flat;
-}
-
-Time Timeline::busy_time() const {
-  Time total = 0;
-  for (const Chunk& c : chunks_)
-    for (const Interval& iv : c.ivs) total += iv.end - iv.start;
-  return total;
 }
 
 }  // namespace tgs

@@ -88,9 +88,6 @@ class Timeline {
   /// Intervals sorted by start time, flattened out of the chunked store.
   std::vector<Interval> intervals() const;
 
-  /// Total busy time.
-  Time busy_time() const;
-
  private:
   // Chunk capacity: split at > kSplit into two halves. Bounds the in-chunk
   // scan of every query and the memmove of every occupy/release.
@@ -151,6 +148,10 @@ class Timeline {
   std::size_t tree_base_ = 0;  // leaf offset (power of two >= chunk count)
   std::size_t size_ = 0;       // total interval count
   Time end_time_ = 0;          // end of the last interval
+  // Empty buffer of the last chunk erased, reused by the next occupy of
+  // an empty timeline: branch and bound empties and refills a processor
+  // on every backtrack over it.
+  std::vector<Interval> spare_;
 };
 
 }  // namespace tgs

@@ -2,11 +2,12 @@
 // [22]).
 //
 // Classification: UNC, CP-based, dynamic list, lookahead (non-greedy).
-// After every placement the absolute earliest start time (AEST) and
-// absolute latest start time (ALST) of each node are recomputed on the
-// partially scheduled graph; nodes with AEST == ALST form the dynamic
-// critical path. The node with minimum slack (ALST - AEST) is selected
-// (ties: smaller ALST). Candidate processors are those holding the node's
+// After every placement the absolute earliest start time (AEST, kept
+// current by PinnedLevels) and absolute latest start time (ALST) of each
+// node are updated on the partially scheduled graph; nodes with
+// AEST == ALST form the dynamic critical path. The node with minimum
+// slack (ALST - AEST) is selected (ties: smaller ALST). Candidate
+// processors are those holding the node's
 // placed parents/children, then the other processors in use, then one
 // fresh processor; the winner minimizes
 // the composite objective

@@ -4,6 +4,7 @@
 
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/list/ready_list.h"
+#include "tgs/sched/pinned_levels.h"
 
 namespace tgs {
 
@@ -18,11 +19,10 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
   // communication for unplaced ones; blevel' is the plain b-level, since
   // placements cannot shorten it while successors' processors are unknown.
   const std::vector<Time>& b = ws.attrs().b_levels();
-  std::vector<Time> t;
+  PinnedLevels t(g, PinnedLevels::EdgeCosts::kKeep);
 
   while (!ready.empty()) {
     ws.deadline().poll();
-    sched.pinned_t_levels(t);
     Time L = 0;
     for (NodeId u = 0; u < g.num_nodes(); ++u) L = std::max(L, t[u] + b[u]);
 
@@ -65,6 +65,8 @@ Schedule MdScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
       chosen_start = c.start;
     }
     sched.place(n, chosen, chosen_start);
+    t.place(n, chosen_start);
+    t.commit();
     scanner.note_placement(chosen);
     ready.mark_scheduled(n);
   }

@@ -4,14 +4,16 @@
 // mobility of an unscheduled node under the current partial schedule is
 //     M(n) = (L - (tlevel'(n) + blevel'(n))) / w(n)
 // where tlevel' pins already-placed nodes at their start times
-// (Schedule::pinned_t_levels), blevel' is the graph's b-level and L is the
+// (PinnedLevels, kept current per placement), blevel' is the graph's
+// b-level and L is the
 // current critical-path length estimate. Critical-path nodes have
 // zero mobility and are placed first. The selected node is placed on the
 // FIRST processor (in index order) offering an idle slot inside the node's
 // mobility window [tlevel'(n), L - blevel'(n)]; only when no processor can
 // hold it inside the window is the minimum-EST processor used. Scanning
 // used processors first is why the paper observes MD using relatively few
-// processors. tlevel' is recomputed after every placement: O(v(v+e)).
+// processors. After every placement tlevel' is updated on the placed
+// node's descendants whose value changes: O(v(v+e)) at worst.
 //
 // Fidelity note: the original MD may also displace ("push") already
 // scheduled nodes when inserting; we restrict placement to existing idle

@@ -9,7 +9,9 @@
 #include "tgs/optimal/bb_scheduler.h"
 #include "tgs/optimal/lower_bounds.h"
 #include "tgs/sched/metrics.h"
+#include "tgs/sched/pinned_levels.h"
 #include "tgs/sched/validate.h"
+#include "tgs/util/rng.h"
 
 namespace tgs {
 namespace {
@@ -40,6 +42,115 @@ TEST(LowerBounds, NeverExceedsAchievable) {
   opt.num_procs = 2;
   for (const auto& algo : make_bnp_schedulers())
     EXPECT_LE(bound, algo->run(g, opt).makespan()) << algo->name();
+}
+
+// The load bound as LowerBounds::evaluate computed it on every node before
+// it became the constant ceil(W / p), frozen (busy time summed from the
+// timeline intervals): ceil((sum of finishes + max(0, remaining work -
+// idle gaps)) / p).
+Time frozen_dynamic_load_bound(const Schedule& s, int num_procs) {
+  const TaskGraph& g = s.graph();
+  Time finish_sum = 0;
+  Time gap_total = 0;
+  for (int p = 0; p < s.num_procs(); ++p) {
+    const Time fin = s.timeline(p).end_time();
+    Time busy = 0;
+    for (const Interval& iv : s.timeline(p).intervals())
+      busy += iv.end - iv.start;
+    finish_sum += fin;
+    gap_total += fin - busy;
+  }
+  Cost remaining = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    if (!s.is_placed(u)) remaining += g.weight(u);
+  const Time effective = finish_sum + std::max<Time>(0, remaining - gap_total);
+  return (effective + num_procs - 1) / static_cast<Time>(num_procs);
+}
+
+/// Place a random ready task of `s` on a random processor at its earliest
+/// insertion start after a random delay (0 = branch and bound's rule).
+/// Returns false when no task is ready.
+bool place_random_ready(Schedule& s, int num_procs, Time max_delay, Rng& rng,
+                        NodeId& placed, Time& start) {
+  const TaskGraph& g = s.graph();
+  std::vector<NodeId> ready;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (s.is_placed(n)) continue;
+    bool all = true;
+    for (const Adj& par : g.parents(n)) all = all && s.is_placed(par.node);
+    if (all) ready.push_back(n);
+  }
+  if (ready.empty()) return false;
+  placed = ready[rng.uniform_int(0, ready.size() - 1)];
+  const ProcId p = static_cast<ProcId>(rng.uniform_int(0, num_procs - 1));
+  start = s.earliest_start_on(
+      p, s.data_ready(placed, p) + rng.uniform_int(0, max_delay),
+      g.weight(placed), /*insertion=*/true);
+  s.place(placed, p, start);
+  return true;
+}
+
+TEST(LowerBounds, DynamicLoadBoundAddsNothingToTheConstant) {
+  // On random partial schedules with idle gaps, max(dynamic load bound,
+  // makespan) equals max(ceil(W / p), makespan) -- combine(0, makespan).
+  Rng rng(21);
+  for (int procs = 1; procs <= 8; ++procs) {
+    for (const double ccr : kRgbosCcrs) {
+      const TaskGraph g = rgbos_graph(ccr, 20, 3 + procs);
+      const LowerBounds lb(g, procs);
+      for (int walk = 0; walk < 8; ++walk) {
+        Schedule s(g, procs);
+        NodeId n = kNoNode;
+        Time start = 0;
+        do {
+          const Time makespan = s.makespan();
+          const Time dynamic = frozen_dynamic_load_bound(s, procs);
+          ASSERT_EQ(std::max(dynamic, makespan), lb.combine(0, makespan))
+              << "p=" << procs << " placed " << s.placed_count();
+          ASSERT_GE(dynamic, (g.total_weight() + procs - 1) / procs);
+        } while (place_random_ready(s, procs, walk * 10, rng, n, start));
+      }
+    }
+  }
+}
+
+TEST(LowerBounds, IncrementalCriticalPathMatchesEvaluate) {
+  // Branch and bound's bookkeeping: comm-free PinnedLevels plus a stack of
+  // critical-path bounds raised by the levels each placement writes. Under
+  // its placement rule (earliest insertion start, no delay) and LIFO
+  // undo, the combined bound must equal the from-scratch evaluate().
+  Rng rng(7);
+  for (const int procs : {1, 2, 3, 4}) {
+    for (const double ccr : kRgbosCcrs) {
+      const TaskGraph g = rgbos_graph(ccr, 26, 40 + procs);
+      const LowerBounds lb(g, procs);
+      const std::vector<Time>& sl = lb.static_levels_nocomm();
+      Schedule s(g, procs);
+      PinnedLevels levels(g, PinnedLevels::EdgeCosts::kZero);
+      std::vector<Time> cp{0};
+      for (NodeId u = 0; u < g.num_nodes(); ++u)
+        cp[0] = std::max(cp[0], levels[u] + sl[u]);
+      std::vector<NodeId> order;
+      for (std::size_t step = 0; step < 6 * g.num_nodes(); ++step) {
+        NodeId n = kNoNode;
+        Time start = 0;
+        if (!order.empty() && rng.bernoulli(0.3)) {
+          levels.unplace(order.back());
+          s.unplace(order.back());
+          order.pop_back();
+          cp.pop_back();
+        } else if (place_random_ready(s, procs, 0, rng, n, start)) {
+          Time c = cp.back();
+          for (const NodeId u : levels.place(n, start))
+            c = std::max(c, levels[u] + sl[u]);
+          cp.push_back(c);
+          order.push_back(n);
+        }
+        ASSERT_EQ(lb.combine(cp.back(), s.makespan()), lb.evaluate(s))
+            << g.name() << " p=" << procs << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(BranchAndBound, ChainIsSerial) {

@@ -4,10 +4,14 @@
 #include <vector>
 
 #include "tgs/gen/psg.h"
+#include "tgs/gen/rgbos.h"
+#include "tgs/gen/rgnos.h"
 #include "tgs/gen/structured.h"
 #include "tgs/sched/gantt.h"
+#include "tgs/sched/pinned_levels.h"
 #include "tgs/sched/schedule.h"
 #include "tgs/sched/validate.h"
+#include "tgs/util/rng.h"
 
 namespace tgs {
 namespace {
@@ -95,6 +99,92 @@ TEST(Schedule, PinnedTLevelsPinPlacedAndKeepEdgeCosts) {
   EXPECT_EQ(t[3], 50);
   EXPECT_EQ(t[1], 4 + 10 + 5);  // the edge cost stays: 1 has no processor
   EXPECT_EQ(t[2], 19 + 20 + 2);
+}
+
+TaskGraph with_zero_edge_costs(const TaskGraph& g) {
+  TaskGraphBuilder b("zero-cost");
+  for (NodeId n = 0; n < g.num_nodes(); ++n) b.add_node(g.weight(n));
+  for (NodeId n = 0; n < g.num_nodes(); ++n)
+    for (const Adj& c : g.children(n)) b.add_edge(n, c.node, 0);
+  return b.finalize();
+}
+
+TEST(PinnedLevels, MatchesFullPassUnderRandomPlaceUnplace) {
+  // A random walk of placements and LIFO unplacements. Each placed task's
+  // parents are placed (as in every scheduler); its start is an insertion
+  // fit at or after a random delay past its data-ready time, so levels
+  // both rise and fall. After every step the kKeep levels must equal
+  // Schedule::pinned_t_levels, and the kZero levels the same pass on a
+  // copy of the graph whose edges cost nothing.
+  std::vector<TaskGraph> graphs;
+  for (const double ccr : kRgbosCcrs) graphs.push_back(rgbos_graph(ccr, 24, 5));
+  for (const double ccr : {0.1, 1.0, 10.0}) {
+    RgnosParams p;
+    p.num_nodes = 120;
+    p.ccr = ccr;
+    p.seed = 11;
+    graphs.push_back(rgnos_graph(p));
+  }
+  Rng rng(2026);
+  for (const TaskGraph& g : graphs) {
+    const TaskGraph g0 = with_zero_edge_costs(g);
+    Schedule s(g, 4), s0(g0, 4);
+    PinnedLevels keep(g, PinnedLevels::EdgeCosts::kKeep);
+    PinnedLevels zero(g, PinnedLevels::EdgeCosts::kZero);
+    std::vector<std::size_t> unplaced_parents(g.num_nodes());
+    for (NodeId n = 0; n < g.num_nodes(); ++n)
+      unplaced_parents[n] = g.num_parents(n);
+    std::vector<NodeId> order;  // placement order, for LIFO unplace
+    std::vector<Time> want;
+    for (std::size_t step = 0; step < 4 * g.num_nodes(); ++step) {
+      std::vector<NodeId> ready;
+      for (NodeId n = 0; n < g.num_nodes(); ++n)
+        if (!s.is_placed(n) && unplaced_parents[n] == 0) ready.push_back(n);
+      if (!order.empty() && (ready.empty() || rng.bernoulli(0.35))) {
+        const NodeId n = order.back();
+        order.pop_back();
+        keep.unplace(n);
+        zero.unplace(n);
+        s.unplace(n);
+        s0.unplace(n);
+        for (const Adj& c : g.children(n)) ++unplaced_parents[c.node];
+      } else {
+        const NodeId n = ready[rng.uniform_int(0, ready.size() - 1)];
+        const ProcId p = static_cast<ProcId>(rng.uniform_int(0, 3));
+        const Time start = s.earliest_start_on(
+            p, s.data_ready(n, p) + rng.uniform_int(0, 40), g.weight(n),
+            /*insertion=*/true);
+        s.place(n, p, start);
+        s0.place(n, p, start);
+        const auto written = keep.place(n, start);
+        ASSERT_FALSE(written.empty());
+        EXPECT_EQ(written.front(), n);
+        zero.place(n, start);
+        order.push_back(n);
+        for (const Adj& c : g.children(n)) --unplaced_parents[c.node];
+      }
+      s.pinned_t_levels(want);
+      for (NodeId n = 0; n < g.num_nodes(); ++n)
+        ASSERT_EQ(keep[n], want[n]) << g.name() << " step " << step;
+      s0.pinned_t_levels(want);
+      for (NodeId n = 0; n < g.num_nodes(); ++n)
+        ASSERT_EQ(zero[n], want[n]) << g.name() << " step " << step;
+    }
+  }
+}
+
+TEST(PinnedLevels, CommitKeepsValuesAndDropsUndo) {
+  const TaskGraph g = chain_graph(3, 10, 5);
+  PinnedLevels t(g, PinnedLevels::EdgeCosts::kKeep);
+  EXPECT_EQ(t[2], 30);  // (10 + 5) * 2
+  t.place(0, 7);
+  t.commit();
+  EXPECT_EQ(t[1], 22);
+  t.place(1, 40);
+  EXPECT_EQ(t[2], 55);
+  t.unplace(1);  // undoes only the placement after the commit
+  EXPECT_EQ(t[0], 7);
+  EXPECT_EQ(t[2], 37);
 }
 
 TEST(Schedule, GrowsProcessorsOnDemand) {

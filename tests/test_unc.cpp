@@ -5,6 +5,7 @@
 #include <string>
 
 #include "reference_named.h"
+#include "reference_unc.h"
 #include "tgs/gen/psg.h"
 #include "tgs/gen/rgbos.h"
 #include "tgs/gen/rgnos.h"
@@ -186,6 +187,32 @@ TEST(Unc, Deterministic) {
     for (NodeId n = 0; n < g.num_nodes(); ++n) {
       EXPECT_EQ(a.proc(n), b.proc(n)) << algo->name();
       EXPECT_EQ(a.start(n), b.start(n)) << algo->name();
+    }
+  }
+}
+
+TEST(Unc, MdAndDcpMatchTheirFullPassOriginals) {
+  // The incremental pinned levels (PinnedLevels) must pick the same task,
+  // processor and start at every step as a full Schedule::pinned_t_levels
+  // pass, on unbounded and bounded machines.
+  for (const double ccr : {0.1, 1.0, 10.0}) {
+    for (const int par : {1, 3, 5}) {
+      RgnosParams p;
+      p.num_nodes = 150;
+      p.ccr = ccr;
+      p.parallelism = par;
+      p.seed = 77 + par;
+      const TaskGraph g = rgnos_graph(p);
+      for (const int procs : {0, 4}) {
+        SchedOptions opt;
+        opt.num_procs = procs;
+        EXPECT_EQ(schedule_to_string(MdScheduler().run(g, opt)),
+                  schedule_to_string(reference::original_md(g, opt)))
+            << "MD ccr " << ccr << " par " << par << " procs " << procs;
+        EXPECT_EQ(schedule_to_string(DcpScheduler().run(g, opt)),
+                  schedule_to_string(reference::original_dcp(g, opt)))
+            << "DCP ccr " << ccr << " par " << par << " procs " << procs;
+      }
     }
   }
 }
