@@ -385,10 +385,16 @@ void BM_Timeline_ReleaseLinear(benchmark::State& state) {
 }
 BENCHMARK(BM_Timeline_ReleaseLinear)->Arg(256)->Arg(1024);
 
+// n blocks of 8 with idle gaps of 2 between them.
+template <typename TL>
+void gapped_timeline(TL& tl, int n) {
+  for (int i = 0; i < n; ++i) tl.occupy(i, i * 10, 8);
+}
+
 void BM_Timeline_InsertionFit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Timeline tl;
-  for (int i = 0; i < n; ++i) tl.occupy(i, i * 10, 8);  // gaps of 2
+  gapped_timeline(tl, n);
   for (auto _ : state) {
     Time acc = 0;
     for (int i = 0; i < n; ++i)
@@ -397,6 +403,24 @@ void BM_Timeline_InsertionFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Timeline_InsertionFit)->Arg(1024)->Arg(4096);
+
+// Insertions into the middle of a link-sized timeline (the APN pattern:
+// a message takes an idle slot between earlier reservations), each undone
+// by a hinted release so the timeline stays the same.
+void BM_Timeline_OccupyMid(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Timeline tl;
+  gapped_timeline(tl, n);
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      const Time at = (i * 613 % n) * 10 + 8;
+      tl.occupy(n + i, at, 1 + i % 2);
+      tl.release(n + i, at);
+    }
+    benchmark::DoNotOptimize(tl.size());
+  }
+}
+BENCHMARK(BM_Timeline_OccupyMid)->Arg(1024);
 
 // The contended-link pattern the gap index exists for: a packed timeline
 // where the only gap large enough sits near the tail, so the flat scan
@@ -434,6 +458,36 @@ void BM_Timeline_PackedFit_Scan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Timeline_PackedFit_Scan)->Arg(1024)->Arg(4096);
+
+// The no-fit pattern (BSA and DLS probing a busy link, B&B fitting a long
+// task): every gap between intervals is shorter than the block, so each
+// probe from inside the timeline ends after the last interval. The gap
+// tree's root answers that in O(1); the flat scan walks to the end.
+void BM_Timeline_NoFit_Gap(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Timeline tl;
+  gapped_timeline(tl, n);
+  for (auto _ : state) {
+    Time acc = 0;
+    for (int i = 0; i < 64; ++i)
+      acc += tl.earliest_fit(i * 613 % (n * 10), 5, /*insertion=*/true);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_Timeline_NoFit_Gap)->Arg(4096);
+
+void BM_Timeline_NoFit_Scan(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  reference::FlatTimeline tl;
+  gapped_timeline(tl, n);
+  for (auto _ : state) {
+    Time acc = 0;
+    for (int i = 0; i < 64; ++i)
+      acc += tl.earliest_fit(i * 613 % (n * 10), 5, /*insertion=*/true);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_Timeline_NoFit_Scan)->Arg(4096);
 
 void BM_ReadyList_Churn(benchmark::State& state) {
   const TaskGraph g = bench_graph(static_cast<NodeId>(state.range(0)));

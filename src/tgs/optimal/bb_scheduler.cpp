@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -67,10 +66,53 @@ struct StateHash {
   friend bool operator==(const StateHash&, const StateHash&) = default;
 };
 
-struct StateHashHasher {
-  std::size_t operator()(const StateHash& h) const {
-    return static_cast<std::size_t>(h.lo ^ (h.hi * 0x9E3779B97F4A7C15ULL));
+/// Duplicate-state table: the hashes in one open-addressing array with
+/// linear probing, doubled when half full, so inserting allocates only
+/// when the array grows. The all-zero hash marks an empty slot and is kept
+/// in a flag of its own.
+class SeenTable {
+ public:
+  std::size_t size() const { return size_; }
+
+  bool contains(const StateHash& h) const {
+    if (h == StateHash{}) return zero_;
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h.lo & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == h) return true;
+      if (slots_[i] == StateHash{}) return false;
+    }
   }
+
+  /// Add a hash that contains() reports absent.
+  void insert(const StateHash& h) {
+    ++size_;
+    if (h == StateHash{}) {
+      zero_ = true;
+      return;
+    }
+    if (2 * size_ > slots_.size()) grow();
+    place(h);
+  }
+
+ private:
+  void place(const StateHash& h) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = h.lo & mask;
+    while (slots_[i] != StateHash{}) i = (i + 1) & mask;
+    slots_[i] = h;
+  }
+
+  void grow() {
+    std::vector<StateHash> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const StateHash& h : old)
+      if (h != StateHash{}) place(h);
+  }
+
+  std::vector<StateHash> slots_;  // power-of-two size, or empty
+  std::size_t size_ = 0;
+  bool zero_ = false;
 };
 
 /// A partial schedule as a replayable decision list.
@@ -113,7 +155,10 @@ class SubtreeSearch {
     for (NodeId n = 0; n < g.num_nodes(); ++n)
       cp = std::max(cp, levels_[n] + (*sl_nc_)[n]);
     cp_.push_back(cp);
-    for (const auto& [n, p] : prefix.moves) apply(n, p);
+    for (const auto& [n, p] : prefix.moves)
+      apply(n, p,
+            sched_.earliest_start_on(p, sched_.data_ready(n, p),
+                                     g.weight(n), /*insertion=*/true));
   }
 
   /// Explore until the subtree is exhausted or `budget` nodes were
@@ -138,8 +183,10 @@ class SubtreeSearch {
         continue;
       }
       if (spent >= budget) return;  // paused; the next round resumes here
+      // The state is the one push_frame fitted this branch in: every
+      // deeper move has been undone.
       const Branch br = f.branches[f.next++];
-      apply(br.node, br.proc);
+      apply(br.node, br.proc, br.start);
       ++spent;
       if (expandable())
         push_frame(br.node);
@@ -174,7 +221,7 @@ class SubtreeSearch {
   struct Branch {
     NodeId node;
     ProcId proc;
-    Time start;  // sort key only; apply() recomputes it
+    Time start;  // earliest insertion fit: sort key and applied start
   };
   struct Frame {
     std::vector<Branch> branches;
@@ -186,10 +233,9 @@ class SubtreeSearch {
   /// subtree has already found itself.
   Time bound() const { return std::min(snapshot_, best_len_); }
 
-  void apply(NodeId n, ProcId p) {
-    const Time ready_t = sched_.data_ready(n, p);
-    const Time start = sched_.earliest_start_on(p, ready_t, cfg_->g->weight(n),
-                                                /*insertion=*/true);
+  /// Place n on p at `start`, its earliest insertion fit in the current
+  /// state.
+  void apply(NodeId n, ProcId p, Time start) {
     sched_.place(n, p, start);
     // start >= every parent's finish, the comm-free level n had before, so
     // the placement only raises levels: the new critical-path bound is the
@@ -241,7 +287,7 @@ class SubtreeSearch {
       // skip: the first visit ran under an equal-or-worse incumbent and
       // therefore explored an equal-or-larger subtree.
       if (seen_cap_ > 0 && sched_.placed_count() > 0) {
-        if (seen_.count(hash_)) return false;
+        if (seen_.contains(hash_)) return false;
         if (seen_.size() < seen_cap_) seen_.insert(hash_);
       }
     }
@@ -289,7 +335,7 @@ class SubtreeSearch {
   const std::vector<Time>* sl_nc_;  // comm-free static levels
   StateHash hash_;
   std::size_t seen_cap_;
-  std::unordered_set<StateHash, StateHashHasher> seen_;
+  SeenTable seen_;
 
   std::vector<Frame> frames_;  // [0, depth_) is the DFS stack
   std::size_t depth_ = 0;

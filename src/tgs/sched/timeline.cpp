@@ -72,18 +72,17 @@ void Timeline::rebuild_tree() {
 }
 
 void Timeline::update_leaf(std::size_t c) {
+  // Stops where a value does not change: the ancestors above it already
+  // hold the right maxima.
   std::size_t i = tree_base_ + c;
-  tree_[i] = leaf_key(c);
-  for (i >>= 1; i >= 1; i >>= 1)
-    tree_[i] = std::max(tree_[2 * i], tree_[2 * i + 1]);
-}
-
-void Timeline::recompute_chunk(std::size_t c) {
-  chunks_[c].max_gap = internal_max_gap(chunks_[c].ivs);
-  // The chunk's boundary intervals may have moved: its own entry gap and
-  // the successor's both depend on them.
-  update_leaf(c);
-  if (c + 1 < chunks_.size()) update_leaf(c + 1);
+  const Time key = leaf_key(c);
+  if (tree_[i] == key) return;
+  tree_[i] = key;
+  for (i >>= 1; i >= 1; i >>= 1) {
+    const Time m = std::max(tree_[2 * i], tree_[2 * i + 1]);
+    if (tree_[i] == m) return;
+    tree_[i] = m;
+  }
 }
 
 void Timeline::split_chunk(std::size_t c) {
@@ -148,6 +147,11 @@ Time Timeline::earliest_fit(Time ready, Cost dur, bool insertion) const {
   if (!insertion) return std::max(ready, end_time_);
   if (dur == 0) return ready;  // a zero-length block fits anywhere
   if (ready >= end_time_) return ready;
+  // The root holds the largest gap between consecutive intervals: when it
+  // is below the block and the block does not fit before the first
+  // interval, no start before the end fits.
+  if (tree_[1] < dur && ready + dur > chunks_.front().first_start())
+    return end_time_;
 
   // Scan the chunk holding `ready` the way the flat store would: intervals
   // ending at or before `ready` cannot constrain the placement.
@@ -207,31 +211,54 @@ void Timeline::occupy(std::int64_t owner, Time start, Cost dur) {
       update_leaf(chunks_.size() - 1);
     return;
   }
-  // Overlap verdict: the first interval ending after `start` (everything
-  // before it lies entirely at or before `start`) must not begin before
-  // the new end.
-  const std::size_t ce = chunk_by_end(start);
-  if (ce < chunks_.size() &&
-      lower_by_end(chunks_[ce].ivs, start)->start < start + dur)
-    throw std::logic_error("Timeline::occupy overlap");
-  // Keep the list sorted by (start, end) -- zero-width intervals ahead of
-  // a real block at the same start, so interval ends stay globally
-  // non-decreasing -- with new intervals ahead of identical keys.
+  // One search locates the slot. Intervals are kept sorted by (start,
+  // end) -- zero-width intervals ahead of a real block at the same start,
+  // so interval ends stay globally non-decreasing -- with new intervals
+  // ahead of identical keys.
   const Time end = start + dur;
   const std::size_t c = chunk_by_start(start, end);
-  std::vector<Interval>& ivs = chunks_[c].ivs;
-  const auto pos =
+  Chunk& ch = chunks_[c];
+  std::vector<Interval>& ivs = ch.ivs;
+  const std::size_t m = ivs.size();
+  const std::size_t pos = static_cast<std::size_t>(
       std::lower_bound(ivs.begin(), ivs.end(), start,
                        [end](const Interval& iv, Time s) {
                          return key_below(iv, s, end);
-                       });
-  ivs.insert(pos, Interval{start, end, owner});
+                       }) -
+      ivs.begin());
+  // Overlap verdict from the slot's neighbours: with ends non-decreasing,
+  // the predecessor ends last of everything ahead of the slot and the
+  // successor starts first of everything behind it. A slot past the
+  // chunk's last interval only occurs in the last chunk.
+  const Interval* prev = pos > 0 ? &ivs[pos - 1]
+                         : c > 0 ? &chunks_[c - 1].ivs.back()
+                                 : nullptr;
+  const Interval* next = pos < m ? &ivs[pos] : nullptr;
+  if ((prev != nullptr && prev->end > start) ||
+      (next != nullptr && next->start < end))
+    throw std::logic_error("Timeline::occupy overlap");
+  // Inside the chunk the block splits the gap between its neighbours, or
+  // opens one at the chunk's edge.
+  const Time split =
+      pos > 0 && pos < m ? ivs[pos].start - ivs[pos - 1].end : -1;
+  const Time opened = pos == 0   ? ivs[0].start - end
+                      : pos == m ? start - ivs[m - 1].end
+                                 : -1;
+  ivs.insert(ivs.begin() + static_cast<std::ptrdiff_t>(pos),
+             Interval{start, end, owner});
   ++size_;
-  end_time_ = std::max(end_time_, start + dur);
-  if (ivs.size() > kSplit)
+  end_time_ = std::max(end_time_, end);
+  if (ivs.size() > kSplit) {
     split_chunk(c);
+    return;
+  }
+  // Both halves of a split gap are no larger than it, so only splitting
+  // the chunk maximum needs a rescan (the mirror of erase_interval).
+  if (split == ch.max_gap && split > 0)
+    ch.max_gap = internal_max_gap(ivs);
   else
-    recompute_chunk(c);
+    ch.max_gap = std::max(ch.max_gap, opened);
+  update_leaf(c);
 }
 
 bool Timeline::release(std::int64_t owner) {

@@ -12,9 +12,14 @@
 // over the per-chunk summaries. An insertion-mode fit therefore descends
 // the tree to the first chunk that can hold the block instead of scanning
 // the interval list -- APN link timelines accumulate thousands of message
-// reservations and every (node, processor) probe queries them. Occupying
-// or releasing an interval touches one chunk (bounded memmove) plus a
-// segment-tree path, not the whole list. Queries are exact: the chunked
+// reservations and every (node, processor) probe queries them. The tree's
+// root is the largest gap between any two consecutive intervals, so a
+// block longer than it that does not fit before the first interval gets
+// the end of the timeline in O(1), without a search. Occupying or
+// releasing an interval takes one search for its slot and touches one
+// chunk (bounded memmove) plus a segment-tree path, not the whole list;
+// the chunk's largest gap is rescanned only when the gap the interval
+// splits or merges was that largest one. Queries are exact: the chunked
 // store answers every call bit-identically to a flat sorted vector
 // (tests/test_timeline.cpp churns both against each other).
 #pragma once
@@ -126,7 +131,6 @@ class Timeline {
   /// entering this chunk from the previous one.
   Time leaf_key(std::size_t c) const;
 
-  void recompute_chunk(std::size_t c);       // max_gap, leaves c and c+1
   void update_leaf(std::size_t c);           // one O(log C) path
   void rebuild_tree();                       // chunk count changed
   void split_chunk(std::size_t c);           // kSplit overflow

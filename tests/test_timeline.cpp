@@ -182,6 +182,114 @@ TEST(Timeline, ManyIntervalsCrossChunkBoundaries) {
   EXPECT_EQ(tl.earliest_fit(0, 3, true), 4998);
 }
 
+// Both stores holding `n` blocks of length 10 separated by idle gaps of 3,
+// the first starting at `lead` (the leading gap).
+void gapped(Timeline& tl, FlatTimeline& ref, int n, Time lead) {
+  for (int i = 0; i < n; ++i) {
+    tl.occupy(i, lead + i * 13, 10);
+    ref.occupy(i, lead + i * 13, 10);
+  }
+}
+
+TEST(Timeline, NoFitVerdictWhenNoInternalGapFits) {
+  // Every gap between intervals is 3: a block of 4 fits only at the end,
+  // from any ready time inside the timeline.
+  Timeline tl;
+  FlatTimeline ref;
+  gapped(tl, ref, 20, 0);
+  const Time end = tl.end_time();
+  EXPECT_EQ(end, 19 * 13 + 10);
+  for (Time ready = 0; ready < end; ++ready) {
+    ASSERT_EQ(tl.earliest_fit(ready, 4, true), end) << ready;
+    ASSERT_EQ(ref.earliest_fit(ready, 4, true), end) << ready;
+  }
+  EXPECT_EQ(tl.earliest_fit(0, 3, true), 10);  // the gap itself still fits
+}
+
+TEST(Timeline, NoFitVerdictKeepsTheLeadingGap) {
+  // The leading gap [0, 100) is not between two intervals, so the gap
+  // tree does not hold it: a block longer than every internal gap still
+  // fits in front of the first interval.
+  Timeline tl;
+  FlatTimeline ref;
+  gapped(tl, ref, 20, 100);
+  EXPECT_EQ(tl.earliest_fit(0, 50, true), 0);
+  EXPECT_EQ(tl.earliest_fit(0, 100, true), 0);   // exactly fills it
+  EXPECT_EQ(tl.earliest_fit(40, 60, true), 40);  // ends at the first start
+  EXPECT_EQ(ref.earliest_fit(0, 50, true), 0);
+  EXPECT_EQ(ref.earliest_fit(40, 60, true), 40);
+}
+
+TEST(Timeline, NoFitVerdictReadyInsideLeadingGap) {
+  // `ready` inside the leading gap with a block too long for its rest:
+  // nothing fits before the end.
+  Timeline tl;
+  FlatTimeline ref;
+  gapped(tl, ref, 20, 100);
+  const Time end = tl.end_time();
+  EXPECT_EQ(tl.earliest_fit(60, 50, true), end);
+  EXPECT_EQ(tl.earliest_fit(0, 101, true), end);
+  EXPECT_EQ(tl.earliest_fit(41, 60, true), end);
+  EXPECT_EQ(ref.earliest_fit(60, 50, true), end);
+  EXPECT_EQ(ref.earliest_fit(41, 60, true), end);
+}
+
+TEST(Timeline, NoFitVerdictSingleAndMultiChunkMatchFlat) {
+  // 5 intervals sit in one chunk; 500 span many, with the root of the gap
+  // tree above its leaves. Every (ready, dur) of a grid around the gap
+  // sizes answers what the flat store answers, with and without a wide
+  // internal gap (interval 3 released) and a leading gap.
+  for (const int n : {5, 500}) {
+    for (const Time lead : {Time{0}, Time{7}, Time{100}}) {
+      for (const bool wide : {false, true}) {
+        Timeline tl;
+        FlatTimeline ref;
+        gapped(tl, ref, n, lead);
+        if (wide) {
+          ASSERT_TRUE(tl.release(3, lead + 3 * 13));
+          ASSERT_TRUE(ref.release(3));
+        }
+        const Time end = tl.end_time();
+        for (Time ready = 0; ready <= end + 1; ready += (n == 5 ? 1 : 7))
+          for (const Cost dur : {1, 3, 4, 7, 8, 16, 23, 24, 99, 100, 101})
+            ASSERT_EQ(tl.earliest_fit(ready, dur, true),
+                      ref.earliest_fit(ready, dur, true))
+                << "n " << n << " lead " << lead << " wide " << wide
+                << " ready " << ready << " dur " << dur;
+      }
+    }
+  }
+}
+
+TEST(Timeline, OccupyVerdictAtChunkSeams) {
+  // The one-search occupy reads the slot's neighbours, which sit in the
+  // previous or next chunk when the slot is a chunk's edge: every
+  // (start, dur) across a 500-interval timeline is rejected exactly when
+  // fits() says so, and an accepted block lands where the flat store puts
+  // it.
+  Timeline tl;
+  FlatTimeline ref;
+  for (int i = 0; i < 500; ++i) {
+    tl.occupy(i, i * 10, 8);
+    ref.occupy(i, i * 10, 8);
+  }
+  for (Time start = 0; start < 5010; ++start) {
+    for (const Cost dur : {0, 1, 2, 3}) {
+      Timeline t = tl;
+      FlatTimeline r = ref;
+      if (!tl.fits(start, dur)) {
+        ASSERT_THROW(t.occupy(1000, start, dur), std::logic_error)
+            << start << " " << dur;
+        continue;
+      }
+      ASSERT_NO_THROW(t.occupy(1000, start, dur)) << start << " " << dur;
+      r.occupy(1000, start, dur);
+      ASSERT_EQ(t.intervals(), r.intervals()) << start << " " << dur;
+      ASSERT_EQ(t.end_time(), r.intervals().back().end);
+    }
+  }
+}
+
 TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
   // Random occupy/release/query churn (the BSA-migration and B&B
   // backtracking pattern) on both stores; every query must agree and the
@@ -233,6 +341,64 @@ TEST(Timeline, GapIndexMatchesFlatReferenceUnderChurn) {
       return t;
     };
     EXPECT_EQ(busy(tl.intervals()), busy(ref.intervals()));
+  }
+}
+
+TEST(Timeline, GapIndexMatchesFlatReferenceUnderLongBlockChurn) {
+  // Churn whose blocks are mostly longer than the gaps between intervals,
+  // so most fits end at the no-fit verdict, and whose occupies also land
+  // at arbitrary starts (rejected exactly when fits() says so), so blocks
+  // go into the middle of chunks, split their widest gap and sit at chunk
+  // seams.
+  for (std::uint64_t seed : {5ull, 13ull, 2027ull}) {
+    Rng rng(seed);
+    Timeline tl;
+    FlatTimeline ref;
+    std::vector<std::pair<std::int64_t, Time>> live;  // owner -> start
+    std::int64_t next_owner = 0;
+    int verdicts = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const int op = static_cast<int>(rng.uniform_int(0, 9));
+      if (op < 3 || live.empty()) {  // long block at its earliest fit
+        const Time ready = rng.uniform_int(0, 6000);
+        const Cost dur = rng.uniform_int(5, 60);
+        const Time at = tl.earliest_fit(ready, dur, true);
+        ASSERT_EQ(at, ref.earliest_fit(ready, dur, true));
+        if (at == tl.end_time() && ready < at) ++verdicts;
+        tl.occupy(next_owner, at, dur);
+        ref.occupy(next_owner, at, dur);
+        live.emplace_back(next_owner++, at);
+      } else if (op < 6) {  // short block at an arbitrary start
+        const Time start = rng.uniform_int(0, 6000);
+        const Cost dur = rng.uniform_int(1, 4);
+        if (!ref.fits(start, dur)) {
+          ASSERT_THROW(tl.occupy(next_owner, start, dur), std::logic_error);
+          continue;
+        }
+        tl.occupy(next_owner, start, dur);
+        ref.occupy(next_owner, start, dur);
+        live.emplace_back(next_owner++, start);
+      } else if (op < 8) {
+        const std::size_t i =
+            static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
+        const auto [owner, start] = live[i];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        ASSERT_TRUE(tl.release(owner, start));
+        ASSERT_TRUE(ref.release(owner));
+      } else {
+        const Time ready = rng.uniform_int(0, 8000);
+        const Cost dur = rng.uniform_int(1, 80);
+        ASSERT_EQ(tl.earliest_fit(ready, dur, true),
+                  ref.earliest_fit(ready, dur, true));
+        ASSERT_EQ(tl.fits(ready, dur), ref.fits(ready, dur));
+      }
+      if (step % 200 == 0) {
+        ASSERT_EQ(tl.intervals(), ref.intervals());
+      }
+    }
+    EXPECT_EQ(tl.intervals(), ref.intervals());
+    EXPECT_GT(tl.size(), 2 * 48u);  // several chunks
+    EXPECT_GT(verdicts, 100);       // the verdict case is exercised
   }
 }
 
