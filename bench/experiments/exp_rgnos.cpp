@@ -24,6 +24,7 @@
 #include "tgs/net/routing.h"
 #include "tgs/sched/metrics.h"
 #include "tgs/sched/validate.h"
+#include "tgs/unc/cluster_schedule.h"
 
 namespace tgs::bench {
 namespace {
@@ -194,8 +195,9 @@ void run_ext_unc_cs(const ExpContext& ctx) {
     for (const char* unc_name : {"DSC", "DCP"}) {
       const Schedule unc = make_scheduler(unc_name)->run(g, {}, ws);
       const auto clusters = clusters_of(unc);
-      const Schedule sarkar = map_clusters_sarkar(g, clusters, procs);
-      const Schedule rcp = map_clusters_rcp(g, clusters, procs);
+      const Schedule sarkar = map_clusters_sarkar(g, clusters, procs, ws);
+      const Schedule rcp =
+          schedule_with_assignment(ws.attrs(), fit_clusters(g, clusters, procs));
       if (!validate_schedule(sarkar, procs).ok ||
           !validate_schedule(rcp, procs).ok)
         throw std::runtime_error(std::string("invalid mapping for ") +

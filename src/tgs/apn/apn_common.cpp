@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "tgs/unc/cluster_schedule.h"
-
 namespace tgs {
 
 NetSchedule ApnScheduler::run(const TaskGraph& g,
@@ -97,8 +95,8 @@ Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion) {
   return start;
 }
 
-ApnBuildOrder::ApnBuildOrder(const TaskGraph& g)
-    : order(blevel_order(g)), pos(order.size()) {
+ApnBuildOrder::ApnBuildOrder(GraphAttributeCache& attrs)
+    : order(attrs.blevel_order()), pos(order.size()) {
   for (std::size_t i = 0; i < order.size(); ++i)
     pos[order[i]] = static_cast<std::uint32_t>(i);
 }
@@ -117,8 +115,9 @@ NetSchedule apn_build_with_assignment(const TaskGraph& g,
   if (assign.size() != static_cast<std::size_t>(g.num_nodes()))
     throw std::invalid_argument(
         "apn_build_with_assignment: assignment size != graph node count");
+  GraphAttributeCache attrs(g);
   NetSchedule ns(g, routes);
-  apn_replay(ns, ApnBuildOrder(g), assign, 0, insertion);
+  apn_replay(ns, ApnBuildOrder(attrs), assign, 0, insertion);
   return ns;
 }
 

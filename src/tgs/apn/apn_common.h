@@ -73,12 +73,13 @@ void apn_probe_est_all(const NetSchedule& ns, NodeId n, bool insertion,
 /// earliest feasible start. Returns the start time.
 Time apn_commit_node(NetSchedule& ns, NodeId n, int p, bool insertion);
 
-/// The commit order of assignment-driven builds -- descending b-level
-/// (blevel_order), a topological order -- and each node's position in it.
+/// The commit order of assignment-driven builds -- the cached b-level
+/// order of the graph bound to `attrs`, a topological order -- and each
+/// node's position in it. `attrs` must stay bound while this is used.
 struct ApnBuildOrder {
-  explicit ApnBuildOrder(const TaskGraph& g);
+  explicit ApnBuildOrder(GraphAttributeCache& attrs);
 
-  std::vector<NodeId> order;
+  const std::vector<NodeId>& order;
   std::vector<std::uint32_t> pos;  // order[pos[n]] == n
 };
 
@@ -95,9 +96,9 @@ void apn_replay(NetSchedule& ns, const ApnBuildOrder& ord,
 
 /// Deterministically materialize a complete NetSchedule from a fixed
 /// node -> processor assignment: apn_replay from position 0 into an empty
-/// schedule. Throws std::invalid_argument unless assign.size() ==
-/// g.num_nodes() (tgs_serve feeds user-supplied graphs into this path; a
-/// short vector must not become an OOB read).
+/// schedule, over a local attribute cache. Throws std::invalid_argument
+/// unless assign.size() == g.num_nodes() (tgs_serve feeds user-supplied
+/// graphs into this path; a short vector must not become an OOB read).
 NetSchedule apn_build_with_assignment(const TaskGraph& g,
                                       const RoutingTable& routes,
                                       const std::vector<ProcId>& assign,

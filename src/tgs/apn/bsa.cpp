@@ -14,7 +14,7 @@ NetSchedule BsaScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   // Serial injection: everything on the first pivot. `ns` is always the
   // full build of `assign` in the b-level order `ord`.
   std::vector<ProcId> assign(g.num_nodes(), static_cast<ProcId>(pivot0));
-  const ApnBuildOrder ord(g);
+  const ApnBuildOrder ord(ws.attrs());
   NetSchedule ns(g, routes);
   apn_replay(ns, ord, assign, 0, /*insertion=*/true);
   NetSchedule trial(g, routes);

@@ -37,7 +37,9 @@ NetSchedule BuScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   }
 
   // Phase 2: materialize with real message routing.
-  return apn_build_with_assignment(g, routes, assign, /*insertion=*/false);
+  NetSchedule ns(g, routes);
+  apn_replay(ns, ApnBuildOrder(ws.attrs()), assign, 0, /*insertion=*/false);
+  return ns;
 }
 
 }  // namespace tgs

@@ -1,7 +1,5 @@
 #include "tgs/apn/mh.h"
 
-#include "tgs/unc/cluster_schedule.h"
-
 namespace tgs {
 
 NetSchedule MhScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
@@ -11,7 +9,7 @@ NetSchedule MhScheduler::do_run(const TaskGraph& g, const RoutingTable& routes,
   ApnSweepScratch& scratch = ws.apn_scratch();
   // Descending b-level is a topological order, so parents are always placed
   // before their children.
-  for (NodeId n : blevel_order(g)) {
+  for (NodeId n : ws.attrs().blevel_order()) {
     ws.deadline().poll();
     // One one-to-all sweep replaces the per-processor probes: est[p] is
     // bit-identical to apn_probe_est(ns, n, p), so the strict < argmin

@@ -1,6 +1,7 @@
 #include "tgs/graph/attributes.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace tgs {
@@ -57,15 +58,15 @@ std::vector<Time> static_levels(const TaskGraph& g) {
 }
 
 Time critical_path_length(const TaskGraph& g) {
-  GraphAttributeCache cache;
-  cache.bind(g);
-  return cache.critical_path_length();
+  return GraphAttributeCache(g).critical_path_length();
 }
 
 std::vector<Time> alap_times(const TaskGraph& g) {
-  GraphAttributeCache cache;
-  cache.bind(g);
-  return cache.alap_times();
+  return GraphAttributeCache(g).alap_times();
+}
+
+std::vector<NodeId> blevel_order(const TaskGraph& g) {
+  return GraphAttributeCache(g).blevel_order();
 }
 
 std::vector<NodeId> critical_path(const TaskGraph& g) {
@@ -112,7 +113,8 @@ Time computation_critical_path_length(const TaskGraph& g) {
 
 void GraphAttributeCache::bind(const TaskGraph& g) {
   graph_ = &g;
-  have_sl_ = have_bl_ = have_tl_ = have_alap_ = have_cp_ = false;
+  have_sl_ = have_bl_ = have_tl_ = have_alap_ = have_cp_ = have_bl_order_ =
+      false;
 }
 
 const TaskGraph& GraphAttributeCache::bound() const {
@@ -165,6 +167,18 @@ const std::vector<Time>& GraphAttributeCache::alap_times() {
     have_alap_ = true;
   }
   return alap_;
+}
+
+const std::vector<NodeId>& GraphAttributeCache::blevel_order() {
+  if (!have_bl_order_) {
+    const std::vector<Time>& b = b_levels();
+    bl_order_.resize(b.size());
+    std::iota(bl_order_.begin(), bl_order_.end(), NodeId{0});
+    std::stable_sort(bl_order_.begin(), bl_order_.end(),
+                     [&](NodeId x, NodeId y) { return b[x] > b[y]; });
+    have_bl_order_ = true;
+  }
+  return bl_order_;
 }
 
 std::size_t layered_width(const TaskGraph& g) {

@@ -43,6 +43,9 @@ Time critical_path_length(const TaskGraph& g);
 /// ALAP start times: critical_path_length - b_level.
 std::vector<Time> alap_times(const TaskGraph& g);
 
+/// The b-level order of `g` (GraphAttributeCache::blevel_order).
+std::vector<NodeId> blevel_order(const TaskGraph& g);
+
 /// One critical path as a node sequence from an entry to an exit. Ties are
 /// broken toward smaller node ids, so the result is deterministic.
 std::vector<NodeId> critical_path(const TaskGraph& g);
@@ -72,12 +75,15 @@ std::size_t layered_width(const TaskGraph& g);
 /// object changes, even if a new graph happens to reuse the same address.
 class GraphAttributeCache {
  public:
+  GraphAttributeCache() = default;
+  explicit GraphAttributeCache(const TaskGraph& g) { bind(g); }
+
   /// Point the cache at `g` and invalidate everything. Cheap (no attribute
   /// is computed until first use).
   void bind(const TaskGraph& g);
 
-  /// The currently bound graph (nullptr before the first bind()).
-  const TaskGraph* graph() const { return graph_; }
+  /// The bound graph; throws std::logic_error when none is bound.
+  const TaskGraph& bound() const;
 
   /// Each accessor computes on first use, then returns the cached vector.
   /// Throws std::logic_error when no graph is bound.
@@ -86,14 +92,16 @@ class GraphAttributeCache {
   const std::vector<Time>& t_levels();
   const std::vector<Time>& alap_times();
   Time critical_path_length();
+  /// Nodes by descending b-level, ties to the smaller id: the walk order
+  /// of the cluster schedules, MH and the APN assignment builds.
+  const std::vector<NodeId>& blevel_order();
 
  private:
-  const TaskGraph& bound() const;
-
   const TaskGraph* graph_ = nullptr;
   std::vector<Time> sl_, bl_, tl_, alap_;
+  std::vector<NodeId> bl_order_;
   bool have_sl_ = false, have_bl_ = false, have_tl_ = false,
-       have_alap_ = false, have_cp_ = false;
+       have_alap_ = false, have_cp_ = false, have_bl_order_ = false;
   Time cp_len_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tgs/sched/workspace.h"
 #include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
@@ -39,33 +40,17 @@ std::vector<ClusterInfo> collect_clusters(const TaskGraph& g,
   return info;
 }
 
-// Yang's RCP fold: clusters in descending total-work order, each on the
-// least-loaded processor (ties: smaller id).
-std::vector<ProcId> rcp_cluster_assignment(const TaskGraph& g,
-                                           const std::vector<ProcId>& clusters,
-                                           int num_procs) {
-  std::vector<Cost> load(num_procs, 0);
-  std::vector<ProcId> assign(g.num_nodes(), 0);
-  for (const ClusterInfo& c : collect_clusters(g, clusters)) {
-    const ProcId p = static_cast<ProcId>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    for (NodeId n : c.members) assign[n] = p;
-    load[p] += c.work;
-  }
-  return assign;
-}
-
 }  // namespace
 
 Schedule map_clusters_sarkar(const TaskGraph& g,
                              const std::vector<ProcId>& clusters,
-                             int num_procs) {
+                             int num_procs, SchedWorkspace& ws) {
   const auto info = collect_clusters(g, clusters);
 
   // assign[n] = physical processor; nodes of unassigned clusters are parked
   // on a virtual processor so that partial evaluations stay comparable.
   std::vector<ProcId> assign(g.num_nodes(), 0);
-  ClusterEvaluator eval(g, info.size() + std::max(num_procs, 0));
+  ClusterEvaluator eval(ws.attrs(), info.size() + std::max(num_procs, 0));
 
   // Greedy commit, considering execution order: evaluate the ordered
   // schedule of everything assigned so far plus the candidate cluster on
@@ -89,14 +74,7 @@ Schedule map_clusters_sarkar(const TaskGraph& g,
     }
     for (NodeId n : info[k].members) assign[n] = best_p;
   }
-  return schedule_with_assignment(g, assign);
-}
-
-Schedule map_clusters_rcp(const TaskGraph& g,
-                          const std::vector<ProcId>& clusters,
-                          int num_procs) {
-  return schedule_with_assignment(
-      g, rcp_cluster_assignment(g, clusters, num_procs));
+  return schedule_with_assignment(ws.attrs(), assign);
 }
 
 std::vector<ProcId> fit_clusters(const TaskGraph& g,
@@ -104,7 +82,16 @@ std::vector<ProcId> fit_clusters(const TaskGraph& g,
   if (num_procs <= 0 || clusters.empty() ||
       *std::ranges::max_element(clusters) < num_procs)
     return clusters;
-  return rcp_cluster_assignment(g, clusters, num_procs);
+  // Yang's RCP fold: clusters in descending total-work order, each on the
+  // least-loaded processor (ties: smaller id).
+  std::vector<Cost> load(num_procs, 0);
+  for (const ClusterInfo& c : collect_clusters(g, clusters)) {
+    const ProcId p = static_cast<ProcId>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    for (NodeId n : c.members) clusters[n] = p;
+    load[p] += c.work;
+  }
+  return clusters;
 }
 
 }  // namespace tgs

@@ -10,8 +10,8 @@
 // "BNP vs UNC+CS" as future work; bench/ext_unc_cs runs that comparison.
 //
 // Both functions take the cluster labels of a UNC schedule (cluster id per
-// node) and produce a complete schedule on `num_procs` processors; nodes of
-// one cluster always stay together.
+// node) and put them on `num_procs` processors; nodes of one cluster
+// always stay together.
 #pragma once
 
 #include <vector>
@@ -22,31 +22,26 @@
 
 namespace tgs {
 
+class SchedWorkspace;
+
 /// Extract the cluster labels (processor ids) of a completed schedule.
 std::vector<ProcId> clusters_of(const Schedule& s);
 
 /// Sarkar's assignment: clusters in descending total-work order; each is
 /// committed to the processor that minimizes the makespan of the ordered
 /// partial schedule (execution order = descending b-level, as in
-/// cluster_schedule.h). O(k * p * (v + e)) for k clusters.
+/// cluster_schedule.h). `ws` must be bound to `g`. O(k * p * (v + e)) for
+/// k clusters.
 Schedule map_clusters_sarkar(const TaskGraph& g,
                              const std::vector<ProcId>& clusters,
-                             int num_procs);
-
-/// Yang's RCP-style merge: clusters in descending total-work order are
-/// placed LPT-style on the least-loaded processor, ignoring execution
-/// order; one final list schedule materializes the result. O(k log k + v).
-/// Unlike fit_clusters, clusters that already fit are relabelled too.
-Schedule map_clusters_rcp(const TaskGraph& g,
-                          const std::vector<ProcId>& clusters,
-                          int num_procs);
+                             int num_procs, SchedWorkspace& ws);
 
 /// Put UNC clusters on a bounded machine. With more clusters than
-/// `num_procs`, fold them with map_clusters_rcp's assignment step and
-/// return the node -> processor map; otherwise, or when `num_procs` <= 0
+/// `num_procs`, fold them with Yang's RCP rule (clusters in descending
+/// total-work order, each on the least-loaded processor) and return the
+/// node -> processor map; otherwise, or when `num_procs` <= 0
 /// (unbounded), return `clusters` unchanged. Every clustered parameter
-/// point (EZ, LC, param:.../{ez,lc,dsc}) and bounded DSC reach a bounded
-/// machine through this one fold.
+/// point, bounded DSC and the UNC+CS RCP mapping use this one fold.
 std::vector<ProcId> fit_clusters(const TaskGraph& g,
                                  std::vector<ProcId> clusters, int num_procs);
 

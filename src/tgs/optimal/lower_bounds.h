@@ -44,13 +44,6 @@ class LowerBounds {
   /// (`s` has num_procs timelines).
   Time evaluate(const Schedule& s) const;
 
-  /// Static (empty-schedule) bound: max(comm-free CP, ceil(W / p)).
-  Time static_bound() const {
-    const Time cp =
-        sl_nc_.empty() ? 0 : *std::max_element(sl_nc_.begin(), sl_nc_.end());
-    return std::max(cp, load_bound_);
-  }
-
   const std::vector<Time>& static_levels_nocomm() const { return sl_nc_; }
 
  private:

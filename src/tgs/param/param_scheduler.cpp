@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 #include <utility>
 
 #include "tgs/bnp/bnp_common.h"
@@ -264,9 +263,7 @@ class ListPhase {
 
 void compute_param_metric(ParamMetric metric, GraphAttributeCache& attrs,
                           ParamScratch& ps) {
-  if (attrs.graph() == nullptr)
-    throw std::logic_error("compute_param_metric: no graph bound");
-  const TaskGraph& g = *attrs.graph();
+  const TaskGraph& g = attrs.bound();
   const NodeId v = g.num_nodes();
   ps.key.assign(v, 0);
 
@@ -362,6 +359,9 @@ void compute_param_metric(ParamMetric metric, GraphAttributeCache& attrs,
       if (la != lb) return la < lb;  // equal prefix: shorter list first
       return a < b;
     });
+  } else if (metric == ParamMetric::kBL) {
+    // (b-level desc, id asc) is the cached b-level order.
+    ps.order = attrs.blevel_order();
   } else {
     std::sort(ps.order.begin(), ps.order.end(), [&](NodeId a, NodeId b) {
       if (ps.key[a] != ps.key[b]) return ps.key[a] > ps.key[b];
@@ -391,7 +391,7 @@ Schedule ParamScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     case ParamCluster::kNone:
       break;
     case ParamCluster::kEz:
-      ps.assign = ez_clusters(g, &ws.deadline());
+      ps.assign = ez_clusters(g, ws);
       break;
     case ParamCluster::kLc:
       ps.assign = lc_clusters(g, &ws.deadline());

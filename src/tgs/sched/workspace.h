@@ -5,10 +5,12 @@
 // new graph with begin_graph() and pass it to every run on that graph.
 //
 // Contents:
-//  * GraphAttributeCache -- static levels / b-levels / ALAP computed at
-//    most once per graph and shared by every algorithm run with this
-//    workspace (HLFET, ISH, LAST, ETF, DLS and DLS-APN all want static
-//    levels; MCP wants ALAP; DSC, MD and DCP want b-levels).
+//  * GraphAttributeCache -- static levels / b-levels / ALAP / b-level
+//    order computed at most once per graph and shared by every algorithm
+//    run with this workspace (HLFET, ISH, LAST, ETF, DLS, DLS-APN, EZ and
+//    Sarkar's mapping want static levels; MCP wants ALAP; DSC, MD and DCP
+//    want b-levels; EZ, LC, Sarkar's mapping, bounded DSC, MH, BU and BSA
+//    walk the b-level order).
 //  * PairScratch -- the flat per-node pools of the incremental
 //    (ready node, processor) pair selectors (bnp/bnp_common.h). Stored
 //    behind a pointer so sched/ does not include bnp/ headers.

@@ -2,19 +2,13 @@
 
 #include <algorithm>
 
-#include "tgs/graph/attributes.h"
-#include "tgs/list/priorities.h"
-
 namespace tgs {
 
-std::vector<NodeId> blevel_order(const TaskGraph& g) {
-  return order_by_descending(b_levels(g));
-}
-
-Schedule schedule_with_assignment(const TaskGraph& g,
+Schedule schedule_with_assignment(GraphAttributeCache& attrs,
                                   const std::vector<ProcId>& assign) {
+  const TaskGraph& g = attrs.bound();
   Schedule sched(g);
-  for (NodeId n : blevel_order(g)) {
+  for (NodeId n : attrs.blevel_order()) {
     const ProcId p = assign[n];
     const Time ready = sched.data_ready(n, p);
     const Time start = sched.earliest_start_on(p, ready, g.weight(n), false);
@@ -23,11 +17,18 @@ Schedule schedule_with_assignment(const TaskGraph& g,
   return sched;
 }
 
-ClusterEvaluator::ClusterEvaluator(const TaskGraph& g, std::size_t num_labels)
-    : g_(g),
-      order_(blevel_order(g)),
-      sl_(static_levels(g)),
-      start_(g.num_nodes(), 0),
+Schedule schedule_with_assignment(const TaskGraph& g,
+                                  const std::vector<ProcId>& assign) {
+  GraphAttributeCache attrs(g);
+  return schedule_with_assignment(attrs, assign);
+}
+
+ClusterEvaluator::ClusterEvaluator(GraphAttributeCache& attrs,
+                                   std::size_t num_labels)
+    : g_(attrs.bound()),
+      order_(attrs.blevel_order()),
+      sl_(attrs.static_levels()),
+      start_(g_.num_nodes(), 0),
       avail_(num_labels, 0) {}
 
 Time ClusterEvaluator::makespan(const std::vector<ProcId>& assign, Time bound) {
@@ -57,8 +58,10 @@ Time ClusterEvaluator::makespan(const std::vector<ProcId>& assign, Time bound) {
 }
 
 Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign) {
+  GraphAttributeCache attrs(g);
   const ProcId top = assign.empty() ? 0 : *std::ranges::max_element(assign);
-  return ClusterEvaluator(g, static_cast<std::size_t>(top) + 1).makespan(assign);
+  return ClusterEvaluator(attrs, static_cast<std::size_t>(top) + 1)
+      .makespan(assign);
 }
 
 }  // namespace tgs

@@ -14,14 +14,18 @@
 #include <cstddef>
 #include <vector>
 
+#include "tgs/graph/attributes.h"
 #include "tgs/graph/task_graph.h"
 #include "tgs/sched/schedule.h"
 #include "tgs/util/types.h"
 
 namespace tgs {
 
-/// List-schedule `g` with the fixed `assign`ment (one entry per node),
-/// append-only: clusters are sequential task chains in the UNC model.
+/// List-schedule the graph bound to `attrs` with the fixed `assign`ment
+/// (one entry per node), append-only: clusters are sequential task chains
+/// in the UNC model.
+Schedule schedule_with_assignment(GraphAttributeCache& attrs,
+                                  const std::vector<ProcId>& assign);
 Schedule schedule_with_assignment(const TaskGraph& g,
                                   const std::vector<ProcId>& assign);
 
@@ -40,8 +44,9 @@ Schedule schedule_with_assignment(const TaskGraph& g,
 /// makes the same decision as with the full walk.
 class ClusterEvaluator {
  public:
-  /// Labels passed to makespan() must lie in [0, num_labels).
-  ClusterEvaluator(const TaskGraph& g, std::size_t num_labels);
+  /// Labels passed to makespan() must lie in [0, num_labels). `attrs`
+  /// must stay bound to its graph while the evaluator is in use.
+  ClusterEvaluator(GraphAttributeCache& attrs, std::size_t num_labels);
 
   /// The exact makespan of `assign` if it is <= bound; otherwise some
   /// value > bound.
@@ -49,15 +54,12 @@ class ClusterEvaluator {
 
  private:
   const TaskGraph& g_;
-  std::vector<NodeId> order_;
-  std::vector<Time> sl_, start_, avail_;
+  const std::vector<NodeId>& order_;
+  const std::vector<Time>& sl_;
+  std::vector<Time> start_, avail_;
 };
 
 /// ClusterEvaluator's exact makespan of one assignment.
 Time assignment_makespan(const TaskGraph& g, const std::vector<ProcId>& assign);
-
-/// Deterministic order of the walk: descending b-level, ties by node id.
-/// Exposed for tests.
-std::vector<NodeId> blevel_order(const TaskGraph& g);
 
 }  // namespace tgs

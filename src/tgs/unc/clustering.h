@@ -62,12 +62,13 @@ std::vector<ProcId> densify(const std::vector<ProcId>& labels);
 //                   DSC's interleaved start-time assignment cannot be
 //                   replayed by a generic list phase, so only its cluster
 //                   map is reused (docs/parameterized.md).
-// ez_clusters and lc_clusters poll `deadline` (if given) once per
-// tentative merge or peeled path, and dsc_clusters polls ws.deadline()
-// once per clustered node; each throws DeadlineExceeded when it has
-// passed. `ws` must be bound to `g` (SchedWorkspace::begin_graph).
-std::vector<ProcId> ez_clusters(const TaskGraph& g,
-                                RunDeadline* deadline = nullptr);
+// ez_clusters and dsc_clusters poll ws.deadline() once per tentative merge
+// or clustered node, lc_clusters polls `deadline` (if given) once per
+// peeled path; each throws DeadlineExceeded when it has passed. `ws` must
+// be bound to `g` (SchedWorkspace::begin_graph); ez_clusters(g) uses a
+// private one.
+std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws);
+std::vector<ProcId> ez_clusters(const TaskGraph& g);
 std::vector<ProcId> lc_clusters(const TaskGraph& g,
                                 RunDeadline* deadline = nullptr);
 std::vector<ProcId> dsc_clusters(const TaskGraph& g, SchedWorkspace& ws);

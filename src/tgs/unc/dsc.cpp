@@ -107,7 +107,7 @@ Schedule DscScheduler::do_run(const TaskGraph& g, const SchedOptions& opt,
     // More clusters than processors: fold them with the same RCP rule as
     // every clustered parameter point and list-schedule the result.
     return schedule_with_assignment(
-        g, fit_clusters(g, densify(r.cluster), opt.num_procs));
+        ws.attrs(), fit_clusters(g, densify(r.cluster), opt.num_procs));
   }
   // Placements are exactly the (cluster, start) pairs; an empty graph
   // keeps one processor.

@@ -50,7 +50,7 @@ struct ClusterLists {
 
 }  // namespace
 
-std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline* deadline) {
+std::vector<ProcId> ez_clusters(const TaskGraph& g, SchedWorkspace& ws) {
   struct EdgeRef {
     NodeId u, v;
     Cost cost;
@@ -65,14 +65,14 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline* deadline) {
   });
 
   ClusterLists cl(g.num_nodes());
-  ClusterEvaluator eval(g, g.num_nodes());
+  ClusterEvaluator eval(ws.attrs(), g.num_nodes());
   Time best = eval.makespan(cl.label);
 
   for (const EdgeRef& e : edges) {
     NodeId big = static_cast<NodeId>(cl.label[e.u]);
     NodeId small = static_cast<NodeId>(cl.label[e.v]);
     if (big == small) continue;  // already zeroed transitively
-    if (deadline) deadline->poll();
+    ws.deadline().poll();
     if (cl.size[big] < cl.size[small]) std::swap(big, small);
     cl.relabel(small, big);
     const Time len = eval.makespan(cl.label, best);
@@ -85,6 +85,12 @@ std::vector<ProcId> ez_clusters(const TaskGraph& g, RunDeadline* deadline) {
   }
 
   return densify(cl.label);
+}
+
+std::vector<ProcId> ez_clusters(const TaskGraph& g) {
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  return ez_clusters(g, ws);
 }
 
 }  // namespace tgs

@@ -368,7 +368,8 @@ TEST(ApnCommon, SuffixReplayMatchesFullBuild) {
     const RoutingTable routes(topo);
     const int nprocs = topo.num_procs();
     for (const TaskGraph& g : graphs) {
-      const ApnBuildOrder ord(g);
+      GraphAttributeCache attrs(g);
+      const ApnBuildOrder ord(attrs);
       for (const bool insertion : {true, false}) {
         Rng rng(g.num_nodes() * 31 + nprocs);
         std::vector<ProcId> assign(g.num_nodes());

@@ -155,6 +155,7 @@ TEST(Attributes, CacheMatchesFreeFunctionsAndSurvivesRebinds) {
     EXPECT_EQ(cache.t_levels(), t_levels(g));
     EXPECT_EQ(cache.alap_times(), alap_times(g));
     EXPECT_EQ(cache.critical_path_length(), critical_path_length(g));
+    EXPECT_EQ(cache.blevel_order(), blevel_order(g));
     // Second access returns the same cached data (no recompute/realloc).
     EXPECT_EQ(cache.static_levels(), static_levels(g));
     const Time* tl = cache.t_levels().data();
@@ -166,6 +167,15 @@ TEST(Attributes, CacheThrowsBeforeBind) {
   GraphAttributeCache cache;
   EXPECT_THROW(cache.static_levels(), std::logic_error);
   EXPECT_THROW(cache.critical_path_length(), std::logic_error);
+  EXPECT_THROW(cache.blevel_order(), std::logic_error);
+}
+
+TEST(Attributes, BLevelOrderDescendsWithTiesById) {
+  // Edge-free, so each b-level is the node's weight: 5, 9, 5, 1.
+  TaskGraphBuilder b("ties");
+  for (Cost w : {5, 9, 5, 1}) b.add_node(w);
+  const TaskGraph g = b.finalize();
+  EXPECT_EQ(blevel_order(g), (std::vector<NodeId>{1, 0, 2, 3}));
 }
 
 TEST(Attributes, InPlaceVariantsReuseCapacity) {

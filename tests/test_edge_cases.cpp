@@ -11,6 +11,7 @@
 #include "tgs/optimal/bb_scheduler.h"
 #include "tgs/sched/metrics.h"
 #include "tgs/sched/validate.h"
+#include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
 namespace {
@@ -148,7 +149,8 @@ TEST(EdgeCases, ApnStarHubCongestion) {
 TEST(EdgeCases, ClusterMapOntoOneProc) {
   const TaskGraph g = zero_comm_diamond();
   const Schedule unc = make_scheduler("DSC")->run(g, {});
-  const Schedule s = map_clusters_rcp(g, clusters_of(unc), 1);
+  const Schedule s = schedule_with_assignment(
+      g, fit_clusters(g, clusters_of(unc), 1));
   EXPECT_TRUE(validate_schedule(s, 1).ok);
   EXPECT_EQ(s.makespan(), g.total_weight());
 }

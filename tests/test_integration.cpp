@@ -13,6 +13,8 @@
 #include "tgs/optimal/bb_scheduler.h"
 #include "tgs/sched/metrics.h"
 #include "tgs/sched/validate.h"
+#include "tgs/sched/workspace.h"
+#include "tgs/unc/cluster_schedule.h"
 
 namespace tgs {
 namespace {
@@ -95,10 +97,13 @@ TEST(Integration, UncPlusClusterSchedulingEndToEnd) {
   for (const char* unc_name : {"DSC", "DCP"}) {
     const Schedule unc = make_scheduler(unc_name)->run(g, {});
     const auto clusters = clusters_of(unc);
+    SchedWorkspace ws;
+    ws.begin_graph(g);
     for (int p : {2, 4}) {
-      const Schedule sarkar = map_clusters_sarkar(g, clusters, p);
+      const Schedule sarkar = map_clusters_sarkar(g, clusters, p, ws);
       EXPECT_TRUE(validate_schedule(sarkar, p).ok) << unc_name;
-      const Schedule rcp = map_clusters_rcp(g, clusters, p);
+      const Schedule rcp =
+          schedule_with_assignment(ws.attrs(), fit_clusters(g, clusters, p));
       EXPECT_TRUE(validate_schedule(rcp, p).ok) << unc_name;
     }
   }

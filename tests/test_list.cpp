@@ -9,12 +9,6 @@
 namespace tgs {
 namespace {
 
-TEST(Priorities, DescendingOrderWithTies) {
-  const std::vector<Time> prio{5, 9, 5, 1};
-  const auto order = order_by_descending(prio);
-  EXPECT_EQ(order, (std::vector<NodeId>{1, 0, 2, 3}));  // ties by id
-}
-
 TEST(Priorities, ArgmaxPriority) {
   const std::vector<Time> prio{3, 7, 7, 2};
   EXPECT_EQ(argmax_priority({0, 1, 2, 3}, prio), 1u);  // tie 1 vs 2 -> 1

@@ -8,10 +8,19 @@
 #include "tgs/map/cluster_map.h"
 #include "tgs/sched/schedule_io.h"
 #include "tgs/sched/validate.h"
+#include "tgs/sched/workspace.h"
+#include "tgs/unc/cluster_schedule.h"
 #include "tgs/unc/dsc.h"
 
 namespace tgs {
 namespace {
+
+// The UNC+CS extension's RCP column: the RCP fold, list-scheduled.
+Schedule rcp_mapping(SchedWorkspace& ws, const std::vector<ProcId>& clusters,
+                     int num_procs) {
+  return schedule_with_assignment(
+      ws.attrs(), fit_clusters(*ws.graph(), clusters, num_procs));
+}
 
 TEST(ClusterMap, ClustersOfExtractsAssignment) {
   const TaskGraph g = psg_canonical9();
@@ -33,14 +42,16 @@ class ClusterMapFixture : public ::testing::Test {
     graph = rgnos_graph(p);
     DscScheduler dsc;
     unc = std::make_unique<Schedule>(dsc.run(graph, {}));
+    ws.begin_graph(graph);
   }
   TaskGraph graph{TaskGraphBuilder("x").finalize()};
   std::unique_ptr<Schedule> unc;
+  SchedWorkspace ws;
 };
 
 TEST_F(ClusterMapFixture, SarkarRespectsProcessorBound) {
   for (int p : {2, 4, 8}) {
-    const Schedule s = map_clusters_sarkar(graph, clusters_of(*unc), p);
+    const Schedule s = map_clusters_sarkar(graph, clusters_of(*unc), p, ws);
     const auto v = validate_schedule(s, p);
     EXPECT_TRUE(v.ok) << v.error;
     EXPECT_LE(s.procs_used(), p);
@@ -49,7 +60,7 @@ TEST_F(ClusterMapFixture, SarkarRespectsProcessorBound) {
 
 TEST_F(ClusterMapFixture, RcpRespectsProcessorBound) {
   for (int p : {2, 4, 8}) {
-    const Schedule s = map_clusters_rcp(graph, clusters_of(*unc), p);
+    const Schedule s = rcp_mapping(ws, clusters_of(*unc), p);
     const auto v = validate_schedule(s, p);
     EXPECT_TRUE(v.ok) << v.error;
     EXPECT_LE(s.procs_used(), p);
@@ -58,7 +69,7 @@ TEST_F(ClusterMapFixture, RcpRespectsProcessorBound) {
 
 TEST_F(ClusterMapFixture, ClustersStayTogether) {
   const auto clusters = clusters_of(*unc);
-  const Schedule s = map_clusters_sarkar(graph, clusters, 4);
+  const Schedule s = map_clusters_sarkar(graph, clusters, 4, ws);
   for (NodeId a = 0; a < graph.num_nodes(); ++a)
     for (NodeId b = a + 1; b < graph.num_nodes(); ++b)
       if (clusters[a] == clusters[b]) EXPECT_EQ(s.proc(a), s.proc(b));
@@ -68,8 +79,8 @@ TEST_F(ClusterMapFixture, SarkarConsidersOrderRcpDoesNot) {
   // Paper §7: Sarkar's merging "considering the execution order" should on
   // average do no worse than RCP's order-blind load balancing.
   const auto clusters = clusters_of(*unc);
-  const Time sarkar = map_clusters_sarkar(graph, clusters, 4).makespan();
-  const Time rcp = map_clusters_rcp(graph, clusters, 4).makespan();
+  const Time sarkar = map_clusters_sarkar(graph, clusters, 4, ws).makespan();
+  const Time rcp = rcp_mapping(ws, clusters, 4).makespan();
   EXPECT_LE(sarkar, rcp + rcp / 4);  // allow RCP a 25% band, not a theorem
 }
 
@@ -77,7 +88,9 @@ TEST(ClusterMap, SingleProcessorDegeneratesToSerial) {
   const TaskGraph g = psg_canonical9();
   DscScheduler dsc;
   const Schedule unc = dsc.run(g, {});
-  const Schedule s = map_clusters_rcp(g, clusters_of(unc), 1);
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  const Schedule s = rcp_mapping(ws, clusters_of(unc), 1);
   EXPECT_TRUE(validate_schedule(s, 1).ok);
   EXPECT_EQ(s.makespan(), g.total_weight());
 }
@@ -88,7 +101,9 @@ TEST(ClusterMap, ManyProcsKeepsUncShapeValid) {
   DscScheduler dsc;
   const Schedule unc = dsc.run(g, {});
   const int k = unc.procs_used();
-  const Schedule s = map_clusters_sarkar(g, clusters_of(unc), k);
+  SchedWorkspace ws;
+  ws.begin_graph(g);
+  const Schedule s = map_clusters_sarkar(g, clusters_of(unc), k, ws);
   EXPECT_TRUE(validate_schedule(s, k).ok);
 }
 
@@ -103,10 +118,12 @@ TEST(ClusterMap, SarkarMatchesFrozenOriginal) {
       p.parallelism = 3;
       p.seed = 40 + v;
       const TaskGraph g = rgnos_graph(p);
+      SchedWorkspace ws;
+      ws.begin_graph(g);
       for (const char* algo : {"DSC", "DCP", "EZ"}) {
         const auto clusters = clusters_of(make_scheduler(algo)->run(g, {}));
         for (int k : {2, 4, 8}) {
-          EXPECT_EQ(schedule_to_string(map_clusters_sarkar(g, clusters, k)),
+          EXPECT_EQ(schedule_to_string(map_clusters_sarkar(g, clusters, k, ws)),
                     schedule_to_string(
                         reference::original_sarkar(g, clusters, k)))
               << algo << " v=" << v << " ccr=" << ccr << " p=" << k;

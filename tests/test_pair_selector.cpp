@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "reference_schedulers.h"
+#include "tgs/apn/bsa.h"
+#include "tgs/apn/bu.h"
 #include "tgs/apn/dls_apn.h"
+#include "tgs/apn/mh.h"
 #include "tgs/bnp/bnp_common.h"
 #include "tgs/bnp/dls.h"
 #include "tgs/bnp/etf.h"
@@ -20,11 +23,14 @@
 #include "tgs/gen/rgpos.h"
 #include "tgs/graph/task_graph.h"
 #include "tgs/list/ready_list.h"
+#include "tgs/map/cluster_map.h"
 #include "tgs/net/routing.h"
 #include "tgs/net/topology.h"
 #include "tgs/sched/workspace.h"
 #include "tgs/unc/dcp.h"
 #include "tgs/unc/dsc.h"
+#include "tgs/unc/ez.h"
+#include "tgs/unc/lc.h"
 #include "tgs/unc/md.h"
 
 namespace tgs {
@@ -36,6 +42,28 @@ void expect_identical(const Schedule& a, const Schedule& b,
   for (NodeId n = 0; n < a.graph().num_nodes(); ++n) {
     ASSERT_EQ(a.proc(n), b.proc(n)) << what << ": proc of node " << n;
     ASSERT_EQ(a.start(n), b.start(n)) << what << ": start of node " << n;
+  }
+}
+
+// Every task placement and every committed message, hop by hop.
+void expect_identical(const NetSchedule& a, const NetSchedule& b,
+                      const std::string& what) {
+  expect_identical(a.tasks(), b.tasks(), what);
+  const std::vector<Message>& ma = a.messages();
+  const std::vector<Message>& mb = b.messages();
+  ASSERT_EQ(ma.size(), mb.size()) << what;
+  for (std::size_t i = 0; i < ma.size(); ++i) {
+    ASSERT_EQ(ma[i].src, mb[i].src) << what << ": message " << i;
+    ASSERT_EQ(ma[i].dst, mb[i].dst) << what << ": message " << i;
+    ASSERT_EQ(ma[i].size, mb[i].size) << what << ": message " << i;
+    ASSERT_EQ(ma[i].depart_after, mb[i].depart_after) << what << ": message " << i;
+    ASSERT_EQ(ma[i].arrival, mb[i].arrival) << what << ": message " << i;
+    ASSERT_EQ(ma[i].hops.size(), mb[i].hops.size()) << what << ": message " << i;
+    for (std::size_t h = 0; h < ma[i].hops.size(); ++h) {
+      ASSERT_EQ(ma[i].hops[h].link, mb[i].hops[h].link) << what << ": message " << i;
+      ASSERT_EQ(ma[i].hops[h].start, mb[i].hops[h].start) << what << ": message " << i;
+      ASSERT_EQ(ma[i].hops[h].end, mb[i].hops[h].end) << what << ": message " << i;
+    }
   }
 }
 
@@ -239,7 +267,33 @@ TEST(PairSelector, WorkspaceReuseIsObservationallyInert) {
       expect_identical(DcpScheduler().run(g, opt),
                        DcpScheduler().run(g, opt, shared),
                        "shared-vs-fresh DCP");
+      // EZ, LC and bounded DSC's fold read the cached b-level order and
+      // static levels that DSC and MD have filled.
+      expect_identical(EzScheduler().run(g, opt),
+                       EzScheduler().run(g, opt, shared), "shared-vs-fresh EZ");
+      expect_identical(LcScheduler().run(g, opt),
+                       LcScheduler().run(g, opt, shared), "shared-vs-fresh LC");
     }
+    SchedOptions three;
+    three.num_procs = 3;
+    expect_identical(DscScheduler().run(g, three),
+                     DscScheduler().run(g, three, shared),
+                     "shared-vs-fresh bounded DSC");
+    const std::vector<ProcId> clusters =
+        clusters_of(DscScheduler().run(g, {}, shared));
+    SchedWorkspace fresh;
+    fresh.begin_graph(g);
+    expect_identical(map_clusters_sarkar(g, clusters, 3, fresh),
+                     map_clusters_sarkar(g, clusters, 3, shared),
+                     "shared-vs-fresh Sarkar mapping");
+    // MH iterates the cached order; BU and BSA build through it.
+    const RoutingTable cube{Topology::hypercube(3)};
+    expect_identical(MhScheduler().run(g, cube),
+                     MhScheduler().run(g, cube, shared), "shared-vs-fresh MH");
+    expect_identical(BuScheduler().run(g, cube),
+                     BuScheduler().run(g, cube, shared), "shared-vs-fresh BU");
+    expect_identical(BsaScheduler().run(g, cube),
+                     BsaScheduler().run(g, cube, shared), "shared-vs-fresh BSA");
   }
 }
 

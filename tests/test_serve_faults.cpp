@@ -428,7 +428,7 @@ TEST(Deadline, ExpiredDeadlineCancelsEzClusterPass) {
   ws.begin_graph(g);
   ws.deadline().arm(std::chrono::steady_clock::now() -
                     std::chrono::milliseconds(1));
-  EXPECT_THROW(ez_clusters(g, &ws.deadline()), DeadlineExceeded);
+  EXPECT_THROW(ez_clusters(g, ws), DeadlineExceeded);
   ws.deadline().disarm();
 
   ws.begin_graph(g);

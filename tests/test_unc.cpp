@@ -86,7 +86,8 @@ TEST(ClusterSchedule, EvaluatorMatchesFullWalkUnderAnyBound) {
   const std::vector<NodeId> order = blevel_order(g);
   std::vector<Time> start_scratch, avail_scratch;
   constexpr int kLabels = 6;
-  ClusterEvaluator eval(g, kLabels);
+  GraphAttributeCache attrs(g);
+  ClusterEvaluator eval(attrs, kLabels);
   std::mt19937 rng(3);
   std::vector<ProcId> assign(g.num_nodes());
   for (int trial = 0; trial < 200; ++trial) {
